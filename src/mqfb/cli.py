@@ -32,9 +32,9 @@ EXIT_NUMERICAL = 4
 
 def _spec_for(family, mode=None):
     if family == "lazy":
-        return fb.lazy_spec() if mode in (None, "poly") else fb.lazy_spec(mode=mode)
+        return fb.lazy_spec(mode=mode or "poly")
     if family == "ortho-cosine":
-        return fb.orthogonal_cosine_spec()
+        return fb.orthogonal_cosine_spec(mode=mode or "dense")
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -135,6 +135,7 @@ def cmd_decompose(args):
     tree = mr.decompose(
         pc, spec, k=args.k, levels=args.levels, seed=args.seed,
         operator=args.operator, baseline=args.baseline == "bipartite",
+        solver_tol=args.tol,
     )
     seconds = time.perf_counter() - t0
     mr.save_tree(tree, args.out)

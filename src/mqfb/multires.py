@@ -131,16 +131,22 @@ def decompose(pc, spec, k, levels, seed, operator="comb", baseline=False,
     return DecompositionTree(levels=records, root=np.atleast_2d(x), meta=meta)
 
 
-def reconstruct(tree):
-    """Invert decompose level-by-level from the root upward."""
+def reconstruct(tree, drop_finest=0):
+    """Invert decompose level-by-level from the root upward.
+
+    drop_finest=j synthesizes with the detail coefficients of the j finest
+    levels set to zero.
+    """
     meta = tree.meta
     spec = _spec_from_meta(meta)
     x = tree.root
-    for lv in reversed(tree.levels):
+    for i in reversed(range(len(tree.levels))):
+        lv = tree.levels[i]
+        d = np.zeros_like(lv.details) if i < drop_finest else lv.details
         ctx = _level_context(lv.adjacency, lv.partition, meta)
         if meta.get("zero_dc"):
             x = (x.T * np.sqrt(ctx.degree_scale[lv.partition.a_idx])).T
-        x = fb.synthesize(spec, ctx, fb.ChannelCoefficients(a=x, d=lv.details))
+        x = fb.synthesize(spec, ctx, fb.ChannelCoefficients(a=x, d=d))
     return x
 
 
@@ -174,18 +180,9 @@ def linear_approximation(tree, keep, original, peak=255.0):
     """
     if not (0 < keep <= 1):
         raise ValueError("keep must be in (0, 1]")
-    j = int(round(-np.log2(keep)))
-    j = min(j, len(tree.levels))
-    zeroed = 0
-    levels = []
-    for i, lv in enumerate(tree.levels):
-        d = lv.details
-        if i < j:
-            d = np.zeros_like(d)
-            zeroed += lv.details.shape[0]
-        levels.append(LevelRecord(lv.partition, lv.adjacency, d))
-    clipped = DecompositionTree(levels=levels, root=tree.root, meta=tree.meta)
-    rec = reconstruct(clipped)
+    j = min(int(round(-np.log2(keep))), len(tree.levels))
+    rec = reconstruct(tree, drop_finest=j)
+    zeroed = sum(lv.details.shape[0] for lv in tree.levels[:j])
     n = tree.meta["n"]
     return ApproximationResult(
         keep=keep,

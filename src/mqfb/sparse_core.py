@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 
@@ -47,7 +48,7 @@ def extract_principal_block(m, s):
     if s.size == 0:
         raise EmptyBlock("principal block requested for empty vertex subset")
     s = np.sort(s)
-    return sp.csr_array(m.tocsr()[np.ix_(s, s)])
+    return sp.csr_array(m.tocsr()[s][:, s])
 
 
 def build_block_diag_q(m, partition):
@@ -136,6 +137,39 @@ class SpdSolver:
         if y.ndim == 1:
             return one(y)
         return np.column_stack([one(y[:, j]) for j in range(y.shape[1])])
+
+
+def check_positive_definite(matrix):
+    """Raise NotPositiveDefinite unless the symmetric ``matrix`` is PD.
+
+    Diagonal matrices and weakly diagonally dominant matrices with
+    nonpositive off-diagonals (principal blocks of a combinatorial
+    Laplacian) are decided from their structure, without a factorization:
+    such a matrix is singular exactly when one of its connected components
+    has no strictly dominant row (Taussky's theorem), which for a Laplacian
+    block means a whole connected component of the graph lies inside the
+    block.  Any other matrix is factored once by SpdSolver.
+    """
+    tol = 1e-12  # relative to the diagonal: roundoff of a Laplacian row sum
+    s = sp.csr_array(matrix, copy=True)
+    s.sum_duplicates()
+    s.eliminate_zeros()
+    d = s.diagonal()
+    if np.any(d <= 0) or not np.all(np.isfinite(d)):
+        raise NotPositiveDefinite("nonpositive diagonal entry")
+    if s.nnz == d.size:
+        return
+    slack = s.sum(axis=1)  # diagonal minus |off-diagonal| row sum
+    if np.count_nonzero(s.data > 0) == d.size and np.all(slack >= -tol * d):
+        n_comp, labels = csgraph.connected_components(s, directed=False)
+        strict = np.bincount(labels, weights=slack > tol * d, minlength=n_comp)
+        if np.any(strict == 0):
+            raise NotPositiveDefinite(
+                "a connected component of the block has no strictly "
+                "dominant row, so the block is singular"
+            )
+        return
+    SpdSolver(s)
 
 
 def spd_solve(solver, y):

@@ -108,3 +108,21 @@ def test_ply_input(tmp_path):
     code = main(["decompose", "--input", str(ply), "--k", "4",
                  "--levels", "2", "--out", str(tmp_path / "t")])
     assert code == EXIT_OK
+
+
+def test_decompose_tol_reaches_solver(tmp_path):
+    code = main(["decompose", "--synthetic", "600", "--k", "4",
+                 "--levels", "2", "--tol", "1e-7",
+                 "--out", str(tmp_path / "t")])
+    assert code == EXIT_OK
+    meta = json.loads((tmp_path / "t" / "meta.json").read_text())
+    assert meta["solver_tol"] == 1e-7
+
+
+def test_decompose_mode_honoured_for_ortho(tmp_path, capsys):
+    code = main(["decompose", "--synthetic", "300", "--k", "4",
+                 "--levels", "1", "--family", "ortho-cosine",
+                 "--mode", "poly", "--out", str(tmp_path / "t")])
+    assert code == EXIT_CHECK_FAILED
+    assert "no polynomial implementation" in capsys.readouterr().err
+    assert not (tmp_path / "t").exists()

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from mqfb import multires
 from mqfb.filterbank import (
     ChannelCoefficients,
     FilterBankSpec,
@@ -18,12 +21,19 @@ from mqfb.filterbank import (
     zero_dc_wrap,
 )
 from mqfb.graphs import (
+    Graph,
+    Partition,
     combinatorial_laplacian,
     degrees,
     normalized_laplacian,
     random_partition,
 )
-from mqfb.synthetic import random_bipartite_graph, random_connected_graph
+from mqfb.sparse_core import NotPositiveDefinite, build_block_diag_q
+from mqfb.synthetic import (
+    gaussian_blob_cloud,
+    random_bipartite_graph,
+    random_connected_graph,
+)
 
 
 def comb_context(n, seed, mode="dense", **kw):
@@ -31,6 +41,10 @@ def comb_context(n, seed, mode="dense", **kw):
     m = combinatorial_laplacian(g)
     p = random_partition(n, seed)
     return make_context(m, p, mode=mode, degrees=degrees(g), **kw)
+
+
+def q_min_eigenvalue(m, p):
+    return np.linalg.eigvalsh(build_block_diag_q(m, p).toarray()).min()
 
 
 class TestLazySpec:
@@ -125,12 +139,104 @@ class TestAnalyzeSynthesize:
         np.testing.assert_allclose(xr, x, atol=1e-10)
 
 
+class TestLifting:
+    def test_matches_dense_lazy_bank(self):
+        for n, seed in [(30, 1), (60, 3), (75, 2), (120, 3)]:
+            dense = comb_context(n, seed, mode="dense")
+            poly = comb_context(n, seed, mode="poly")
+            assert poly.lifting is not None
+            x = np.random.default_rng(seed).standard_normal((n, 2))
+            cd = analyze(lazy_spec(), dense, x)
+            cp = analyze(lazy_spec(), poly, x)
+            np.testing.assert_allclose(cp.a, cd.a, atol=1e-10)
+            np.testing.assert_allclose(cp.d, cd.d, atol=1e-10)
+            np.testing.assert_allclose(synthesize(lazy_spec(), poly, cd),
+                                       synthesize(lazy_spec(), dense, cd),
+                                       atol=1e-10)
+
+    def test_matches_horner_over_z(self):
+        # a custom spec with the lazy kernels runs the Horner loop over Z
+        ctx = comb_context(200, 21, mode="poly")
+        lazy = lazy_spec()
+        horner = FilterBankSpec(h0=lazy.h0, h1=lazy.h1, g0=lazy.g0, g1=lazy.g1)
+        x = np.random.default_rng(21).standard_normal(200)
+        cl = analyze(lazy, ctx, x)
+        ch = analyze(horner, ctx, x)
+        np.testing.assert_allclose(cl.d, ch.d, atol=1e-10)
+        np.testing.assert_allclose(synthesize(lazy, ctx, cl),
+                                   synthesize(horner, ctx, cl), atol=1e-10)
+
+    def test_pipeline_factors_only_b_blocks(self, monkeypatch):
+        shapes = []
+        splu = spla.splu
+
+        def counting(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return splu(a, *args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", counting)
+        pc = gaussian_blob_cloud(20_000, seed=0)
+        tree = multires.decompose(pc, lazy_spec(), k=5, levels=5, seed=0)
+        b_sizes = [(lv.details.shape[0],) * 2 for lv in tree.levels]
+        assert len(b_sizes) == 5
+        assert shapes == b_sizes
+        shapes.clear()
+        rec = multires.reconstruct(tree)
+        assert shapes == b_sizes[::-1]
+        rel = np.linalg.norm(rec - pc.attributes) / np.linalg.norm(pc.attributes)
+        assert rel <= 1e-10
+
+    def test_component_wholly_on_a_rejected(self):
+        # two disjoint connected graphs; the second lies entirely on side A
+        g1 = random_connected_graph(20, seed=31)
+        g2 = random_connected_graph(12, seed=32)
+        adj = sp.csr_array(sp.block_diag([g1.adjacency, g2.adjacency]))
+        m = combinatorial_laplacian(Graph(adj))
+        f = np.where(np.arange(32) % 2 == 0, 1, -1)
+        f[20:] = 1
+        p = Partition(f)
+        assert q_min_eigenvalue(m, p) < 1e-10
+        with pytest.raises(NotPositiveDefinite):
+            make_context(m, p, mode="poly")
+        with pytest.raises(NotPositiveDefinite):
+            make_context(m, Partition(-f), mode="poly")
+        f[20] = -1  # one vertex of the second graph on B makes Q > 0
+        make_context(m, Partition(f), mode="poly")
+
+    def test_acceptance_matches_q_definiteness(self):
+        # many small components: random partitions often strand one
+        rng = np.random.default_rng(41)
+        blocks = [random_connected_graph(int(rng.integers(2, 6)), seed=s).adjacency
+                  for s in range(12)]
+        m = combinatorial_laplacian(Graph(sp.csr_array(sp.block_diag(blocks))))
+        n = m.shape[0]
+        outcomes = set()
+        for seed in range(40):
+            p = random_partition(n, seed)
+            pd = q_min_eigenvalue(m, p) > 1e-10
+            try:
+                make_context(m, p, mode="poly")
+                accepted = True
+            except NotPositiveDefinite:
+                accepted = False
+            assert accepted == pd
+            outcomes.add(accepted)
+        assert outcomes == {True, False}
+
+
 class TestCheckPr:
     def test_lazy_passes(self):
         ctx = comb_context(50, 8, mode="dense")
         rep = check_pr(lazy_spec(), ctx)
         assert rep["passed"]
         assert rep["max_identity_violation"] <= 1e-12
+        assert rep["spectrum"] == "computed"
+
+    def test_grid_reported_past_dense_cap(self):
+        ctx = comb_context(2100, 22, mode="poly")
+        rep = check_pr(lazy_spec(), ctx, trials=2)
+        assert rep["spectrum"] == "grid"
+        assert rep["passed"]
 
     def test_broken_spec_detected(self):
         broken = FilterBankSpec(

@@ -4,6 +4,8 @@ import pytest
 from mqfb import filterbank as fb
 from mqfb import graphs as gb
 from mqfb.multires import (
+    DecompositionTree,
+    LevelRecord,
     decompose,
     linear_approximation,
     load_tree,
@@ -130,6 +132,19 @@ class TestLinearApproximation:
         res = linear_approximation(tree, 2.0**-4, pc.attributes)
         expected_m = tree.root.shape[0]
         assert res.m_over_n == pytest.approx(expected_m / pc.n)
+
+    def test_drop_finest_zeroes_finest_details(self):
+        pc = small_cloud()
+        tree = decompose(pc, fb.lazy_spec(), k=4, levels=3, seed=16)
+        clipped = DecompositionTree(
+            levels=[LevelRecord(lv.partition, lv.adjacency,
+                                np.zeros_like(lv.details) if i < 2 else lv.details)
+                    for i, lv in enumerate(tree.levels)],
+            root=tree.root, meta=tree.meta)
+        np.testing.assert_array_equal(reconstruct(tree, drop_finest=2),
+                                      reconstruct(clipped))
+        res = linear_approximation(tree, 0.25, pc.attributes)
+        np.testing.assert_array_equal(res.attributes, reconstruct(clipped))
 
     def test_coarser_keep_not_better(self):
         pc = gaussian_blob_cloud(2000, seed=14)

@@ -7,6 +7,7 @@ from mqfb.sparse_core import (
     NotPositiveDefinite,
     SpdSolver,
     build_block_diag_q,
+    check_positive_definite,
     check_symmetric,
     extract_principal_block,
     load_matrix_market,
@@ -138,6 +139,39 @@ class TestSpdSolve:
         solver = SpdSolver(sp.eye(4).tocsc())
         with pytest.raises(ValueError):
             solver.solve(np.ones(5))
+
+
+class TestCheckPositiveDefinite:
+    def test_laplacian_blocks_agree_with_eigenvalues(self):
+        rng = np.random.default_rng(3)
+        # a path 0-1-2 plus an isolated edge 3-4 as separate components
+        w = sp.csr_array(sp.block_diag([
+            sp.csr_array(np.array([[0, 1.0, 0], [1, 0, 2], [0, 2, 0]])),
+            sp.csr_array(np.array([[0, 3.0], [3, 0]])),
+        ]))
+        lap = sp.csr_array(sp.diags(np.asarray(w.sum(axis=1)).ravel()) - w)
+        for _ in range(30):
+            s = np.flatnonzero(rng.random(5) < 0.6)
+            if s.size == 0:
+                continue
+            block = extract_principal_block(lap, s)
+            pd = np.linalg.eigvalsh(block.toarray()).min() > 1e-12
+            if pd:
+                check_positive_definite(block)
+            else:
+                with pytest.raises(NotPositiveDefinite):
+                    check_positive_definite(block)
+
+    def test_diagonal(self):
+        check_positive_definite(sp.diags([1.0, 2.0]))
+        with pytest.raises(NotPositiveDefinite):
+            check_positive_definite(sp.diags([1.0, 0.0]))
+
+    def test_other_structure_is_factored(self):
+        # positive off-diagonals: not a Laplacian block
+        check_positive_definite(sp.csr_array(np.array([[1.0, 0.9], [0.9, 1]])))
+        with pytest.raises(NotPositiveDefinite):
+            check_positive_definite(sp.csr_array(np.array([[1.0, 2], [2, 1]])))
 
 
 class TestSpmv:
