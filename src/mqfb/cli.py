@@ -135,12 +135,12 @@ def cmd_decompose(args):
     tree = mr.decompose(
         pc, spec, k=args.k, levels=args.levels, seed=args.seed,
         operator=args.operator, baseline=args.baseline == "bipartite",
-        solver_tol=args.tol,
     )
     seconds = time.perf_counter() - t0
     mr.save_tree(tree, args.out)
     rows = []
     realized_levels = len(tree.levels)
+    t_sweep = time.perf_counter()
     for j in range(realized_levels + 1):
         res = mr.linear_approximation(tree, 2.0 ** (-j), pc.attributes)
         rows.append({
@@ -155,6 +155,7 @@ def cmd_decompose(args):
             "psnr_b": res.psnr[min(2, pc.channels - 1)],
             "seconds": seconds,
         })
+    sweep_seconds = time.perf_counter() - t_sweep
     csv_path = args.out.rstrip("/") + "_psnr.csv"
     with open(csv_path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
@@ -164,6 +165,7 @@ def cmd_decompose(args):
                               "levels_realized": realized_levels,
                               "coefficients": tree.coefficient_count,
                               "seconds": seconds,
+                              "sweep_seconds": sweep_seconds,
                               "csv": csv_path})
     return EXIT_OK
 
@@ -260,7 +262,6 @@ def build_parser():
     d.add_argument("--operator", default="comb", choices=["comb", "norm"])
     d.add_argument("--mode", default=None, choices=["dense", "poly"])
     d.add_argument("--baseline", default="none", choices=["none", "bipartite"])
-    d.add_argument("--tol", type=float, default=1e-10)
     d.add_argument("--out", required=True, help="tree output directory")
     d.add_argument("--report", default=None)
     d.set_defaults(func=cmd_decompose)

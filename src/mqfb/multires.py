@@ -9,6 +9,7 @@ to the normalized Laplacian with Q = I.
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 from dataclasses import dataclass, field
@@ -35,6 +36,9 @@ class DecompositionTree:
     levels: list  # of LevelRecord, level 0 is the finest
     root: np.ndarray  # (m, c) approximation coefficients
     meta: dict = field(default_factory=dict)
+    # the PSNR sweep's reconstructions, memoized by linear_approximation
+    _sweep: _SweepMemo | None = field(default=None, init=False, repr=False,
+                                      compare=False)
 
     @property
     def coefficient_count(self):
@@ -131,23 +135,86 @@ def decompose(pc, spec, k, levels, seed, operator="comb", baseline=False,
     return DecompositionTree(levels=records, root=np.atleast_2d(x), meta=meta)
 
 
+def _synthesize_up(tree, drops):
+    """reconstruct(tree, drop_finest=j) for every j in drops, in one pass.
+
+    Each level's context is built once.  Variant j zeroes the details of
+    levels i < j, so at level i every variant with j <= i is still the full
+    reconstruction and shares one stream; a variant gets its own synthesis
+    from the level where its details are first zeroed.  Every synthesis sees
+    the same inputs as a single-variant pass, so results are bit-identical.
+    """
+    meta = tree.meta
+    spec = _spec_from_meta(meta)
+    drops = list(drops)
+    shared = tree.root
+    split = {}  # j -> its own stream, once its details have been zeroed
+    for i in reversed(range(len(tree.levels))):
+        lv = tree.levels[i]
+        ctx = _level_context(lv.adjacency, lv.partition, meta)
+        scale = (np.sqrt(ctx.degree_scale[lv.partition.a_idx])
+                 if meta.get("zero_dc") else None)
+
+        def up(x, d):
+            if scale is not None:
+                x = (x.T * scale).T
+            return fb.synthesize(spec, ctx, fb.ChannelCoefficients(a=x, d=d))
+
+        for j in drops:
+            if j > i and j not in split:
+                split[j] = shared
+        if split:
+            zeros = np.zeros_like(lv.details)
+            split = {j: up(x, zeros) for j, x in split.items()}
+        if any(j <= i for j in drops):
+            shared = up(shared, lv.details)
+    return [split.get(j, shared) for j in drops]
+
+
 def reconstruct(tree, drop_finest=0):
     """Invert decompose level-by-level from the root upward.
 
     drop_finest=j synthesizes with the detail coefficients of the j finest
     levels set to zero.
     """
-    meta = tree.meta
-    spec = _spec_from_meta(meta)
-    x = tree.root
-    for i in reversed(range(len(tree.levels))):
-        lv = tree.levels[i]
-        d = np.zeros_like(lv.details) if i < drop_finest else lv.details
-        ctx = _level_context(lv.adjacency, lv.partition, meta)
-        if meta.get("zero_dc"):
-            x = (x.T * np.sqrt(ctx.degree_scale[lv.partition.a_idx])).T
-        x = fb.synthesize(spec, ctx, fb.ChannelCoefficients(a=x, d=d))
-    return x
+    return _synthesize_up(tree, [drop_finest])[0]
+
+
+class _SweepMemo:
+    """reconstruct(tree, drop_finest=j) by j, with what it was computed from.
+
+    Holds a copy of the meta and of every coefficient array, and the level,
+    partition and adjacency objects (compared by identity).  So edits of
+    the meta or the coefficients, in place or not, and replaced level,
+    partition or adjacency objects are seen and the memo is dropped.
+    """
+
+    def __init__(self, tree):
+        self.outputs = {}
+        self.meta = copy.deepcopy(tree.meta)
+        self.levels = [(lv, lv.partition, lv.adjacency) for lv in tree.levels]
+        self.root = np.array(tree.root)
+        self.details = [np.array(lv.details) for lv in tree.levels]
+
+    def matches(self, tree):
+        return (
+            self.meta == tree.meta
+            and len(self.levels) == len(tree.levels)
+            and all(r[0] is lv and r[1] is lv.partition and r[2] is lv.adjacency
+                    for r, lv in zip(self.levels, tree.levels))
+            and np.array_equal(self.root, tree.root)
+            and all(np.array_equal(d, lv.details)
+                    for d, lv in zip(self.details, tree.levels))
+        )
+
+    def get(self, tree, j):
+        # the first keep asked of a tree costs one reconstruct; the next new
+        # one computes every keep still missing in one shared pass
+        if j not in self.outputs:
+            drops = [j] if not self.outputs else [
+                i for i in range(len(tree.levels) + 1) if i not in self.outputs]
+            self.outputs.update(zip(drops, _synthesize_up(tree, drops)))
+        return self.outputs[j]
 
 
 @dataclass
@@ -176,12 +243,17 @@ def linear_approximation(tree, keep, original, peak=255.0):
 
     keep is a nominal fraction from {2^-L, ..., 1/2, 1}: the j finest
     detail levels are zeroed where keep = 2^-j.  The realized m/n comes
-    from actual partition sizes.
+    from actual partition sizes.  The first call on a tree costs one
+    reconstruct; the first call for another keep computes every remaining
+    keep of the sweep in one upward pass.  Results are memoized on the tree
+    and reused while its levels and coefficients are unchanged.
     """
     if not (0 < keep <= 1):
         raise ValueError("keep must be in (0, 1]")
     j = min(int(round(-np.log2(keep))), len(tree.levels))
-    rec = reconstruct(tree, drop_finest=j)
+    if tree._sweep is None or not tree._sweep.matches(tree):
+        tree._sweep = _SweepMemo(tree)
+    rec = tree._sweep.get(tree, j).copy()
     zeroed = sum(lv.details.shape[0] for lv in tree.levels[:j])
     n = tree.meta["n"]
     return ApproximationResult(

@@ -39,6 +39,8 @@ def test_decompose_reconstruct_roundtrip(tmp_path):
                  "--out", str(tree_dir),
                  "--report", str(tmp_path / "dec.json")])
     assert code == EXIT_OK
+    report = json.loads((tmp_path / "dec.json").read_text())
+    assert report["seconds"] > 0 and report["sweep_seconds"] > 0
     csv_path = str(tree_dir) + "_psnr.csv"
     with open(csv_path) as fh:
         rows = list(csv.DictReader(fh))
@@ -110,13 +112,13 @@ def test_ply_input(tmp_path):
     assert code == EXIT_OK
 
 
-def test_decompose_tol_reaches_solver(tmp_path):
-    code = main(["decompose", "--synthetic", "600", "--k", "4",
-                 "--levels", "2", "--tol", "1e-7",
-                 "--out", str(tmp_path / "t")])
-    assert code == EXIT_OK
-    meta = json.loads((tmp_path / "t" / "meta.json").read_text())
-    assert meta["solver_tol"] == 1e-7
+def test_decompose_rejects_tol(tmp_path):
+    # the direct solver has no tolerance, so decompose offers no --tol
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", "--synthetic", "600", "--levels", "2",
+              "--tol", "1e-7", "--out", str(tmp_path / "t")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "t").exists()
 
 
 def test_decompose_mode_honoured_for_ortho(tmp_path, capsys):

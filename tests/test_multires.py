@@ -134,17 +134,66 @@ class TestLinearApproximation:
         assert res.m_over_n == pytest.approx(expected_m / pc.n)
 
     def test_drop_finest_zeroes_finest_details(self):
+        pc = small_cloud(600)
+        lazy = fb.lazy_spec()
+        for spec, kwargs in [
+            (lazy, dict(k=4)),
+            (lazy, dict(k=10, baseline=True)),
+            (fb.zero_dc_wrap(lazy), dict(k=10, baseline=True)),
+            (fb.orthogonal_cosine_spec(), dict(k=4)),
+        ]:
+            tree = decompose(pc, spec, levels=3, seed=16, **kwargs)
+            rec = reconstruct(tree)
+            assert (np.linalg.norm(rec - pc.attributes)
+                    <= 1e-6 * np.linalg.norm(pc.attributes))
+            for j in range(len(tree.levels) + 1):
+                clipped = DecompositionTree(
+                    levels=[LevelRecord(lv.partition, lv.adjacency,
+                                        np.zeros_like(lv.details) if i < j
+                                        else lv.details)
+                            for i, lv in enumerate(tree.levels)],
+                    root=tree.root, meta=tree.meta)
+                expected = reconstruct(clipped)
+                np.testing.assert_array_equal(
+                    reconstruct(tree, drop_finest=j), expected)
+                res = linear_approximation(tree, 2.0**-j, pc.attributes)
+                np.testing.assert_array_equal(res.attributes, expected)
+
+    def test_sweep_sees_edits_to_the_tree(self):
         pc = small_cloud()
-        tree = decompose(pc, fb.lazy_spec(), k=4, levels=3, seed=16)
-        clipped = DecompositionTree(
-            levels=[LevelRecord(lv.partition, lv.adjacency,
-                                np.zeros_like(lv.details) if i < 2 else lv.details)
-                    for i, lv in enumerate(tree.levels)],
-            root=tree.root, meta=tree.meta)
-        np.testing.assert_array_equal(reconstruct(tree, drop_finest=2),
-                                      reconstruct(clipped))
-        res = linear_approximation(tree, 0.25, pc.attributes)
-        np.testing.assert_array_equal(res.attributes, reconstruct(clipped))
+        tree = decompose(pc, fb.lazy_spec(), k=4, levels=3, seed=17)
+        first = linear_approximation(tree, 0.5, pc.attributes)
+        assert not any(np.shares_memory(first.attributes, out)
+                       for out in tree._sweep.outputs.values())
+        first.attributes[:] = 0.0
+        np.testing.assert_array_equal(
+            linear_approximation(tree, 0.5, pc.attributes).attributes,
+            reconstruct(tree, drop_finest=1))
+        for edit in (lambda: tree.levels[0].details.fill(0.0),  # in place
+                     lambda: setattr(tree, "root", tree.root + 1.0)):
+            edit()
+            for j in range(len(tree.levels) + 1):
+                res = linear_approximation(tree, 2.0**-j, pc.attributes)
+                np.testing.assert_array_equal(res.attributes,
+                                              reconstruct(tree, drop_finest=j))
+
+    def test_sweep_costs_two_passes(self, monkeypatch):
+        pc = small_cloud()
+        tree = decompose(pc, fb.lazy_spec(), k=4, levels=3, seed=18)
+        calls = {"make_context": 0, "synthesize": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(fb, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(fb, name, counted)
+        levels = len(tree.levels)
+        linear_approximation(tree, 0.25, pc.attributes)
+        # one keep costs what reconstruct costs
+        assert calls == {"make_context": levels, "synthesize": levels}
+        for j in range(levels + 1):
+            linear_approximation(tree, 2.0**-j, pc.attributes)
+        # every other keep comes from one more pass
+        assert calls["make_context"] == 2 * levels
 
     def test_coarser_keep_not_better(self):
         pc = gaussian_blob_cloud(2000, seed=14)
