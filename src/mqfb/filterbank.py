@@ -16,8 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .gft import FundamentalOperator, dense_spectral_filter, mq_eigendecompose
+from .gft import (
+    FundamentalOperator,
+    dense_spectral_filter,
+    gft_forward,
+    gft_inverse,
+    mq_eigendecompose,
+)
 from .sparse_core import (
+    BlockDiagonalSolver,
     SpdSolver,
     build_block_diag_q,
     check_positive_definite,
@@ -168,8 +175,11 @@ class FilterContext:
     """Everything needed to apply spectral filters for one (M, partition).
 
     Dense mode carries a GftBasis.  Poly mode carries the lazy bank's
-    LiftingStep; the block-diagonal Q and the fundamental operator
-    Z = Q^{-1} M are built on first use (custom polynomial kernels, checkers).
+    LiftingStep; the block-diagonal Q (checkers) and the fundamental
+    operator Z = Q^{-1} M (custom polynomial kernels) are built on first
+    use.  Z solves with Q by blocks: the lifting step's M_BB factor and one
+    of M_AA, never a factor of the n x n Q (so Z uses the block-diagonal Q
+    of M even when a different ``q`` was passed in).
     ``degree_scale`` is set when the graph degrees are known (zero-DC
     wrapping needs them).
     """
@@ -200,7 +210,14 @@ class FilterContext:
     @property
     def z(self):
         if self._z is None:
-            solver = SpdSolver(self.q, mode=self.solver_mode, tol=self.solver_tol)
+            def block_solver(idx):
+                return SpdSolver(extract_principal_block(self.m, idx),
+                                 mode=self.solver_mode, tol=self.solver_tol)
+
+            solver_b = (self.lifting.solver if self.lifting is not None
+                        else block_solver(self.partition.b_idx))
+            solver = BlockDiagonalSolver(
+                self.partition, block_solver(self.partition.a_idx), solver_b)
             self._z = FundamentalOperator(self.m, solver)
         return self._z
 
@@ -219,7 +236,8 @@ def make_context(m, partition, mode="poly", solver_mode="direct", solver_tol=1e-
                         solver_mode=solver_mode, solver_tol=solver_tol)
     if mode == "dense":
         kwargs = {} if dense_cap is None else {"dense_cap": dense_cap}
-        ctx.basis = mq_eigendecompose(ctx.m, ctx.q, **kwargs)
+        ctx.basis = mq_eigendecompose(ctx.m, ctx.q, partition=partition,
+                                      **kwargs)
     elif mode == "poly":
         if solver_mode == "direct":
             check_positive_definite(
@@ -249,6 +267,35 @@ def _lifts(spec, ctx):
     return spec.family == "lazy" and ctx.lifting is not None
 
 
+def _columns(x):
+    return x.reshape(x.shape[0], -1)
+
+
+def _dense_analyze(ctx, h0, h1, x):
+    """(U h0(Lam) U^T Q x)_A and (U h1(Lam) U^T Q x)_B from one forward GFT
+    and one inverse GFT of both channels side by side."""
+    basis = ctx.basis
+    xhat = _columns(gft_forward(basis, x))
+    c = xhat.shape[1]
+    y = gft_inverse(basis, np.hstack([h0(basis.lam)[:, None] * xhat,
+                                      h1(basis.lam)[:, None] * xhat]))
+    tail = x.shape[1:]
+    a = y[ctx.partition.a_idx, :c].reshape((-1,) + tail)
+    d = y[ctx.partition.b_idx, c:].reshape((-1,) + tail)
+    return ChannelCoefficients(a=a, d=d)
+
+
+def _dense_synthesize(ctx, g0, g1, up_a, up_b):
+    """U (g0(Lam) U^T Q up_a + g1(Lam) U^T Q up_b): both channels' forward
+    GFTs side by side, then one inverse GFT."""
+    basis = ctx.basis
+    c = _columns(up_a).shape[1]
+    xhat = gft_forward(basis, np.hstack([_columns(up_a), _columns(up_b)]))
+    y = gft_inverse(basis, g0(basis.lam)[:, None] * xhat[:, :c]
+                    + g1(basis.lam)[:, None] * xhat[:, c:])
+    return y.reshape(up_a.shape)
+
+
 def analyze(spec, ctx, x):
     """a = (H0 x) on A, d = (H1 x) on B."""
     x = np.asarray(x, dtype=np.float64)
@@ -259,6 +306,8 @@ def analyze(spec, ctx, x):
         a = x[ctx.partition.a_idx]
         d = x[ctx.partition.b_idx] + ctx.lifting.predict(a)
         return ChannelCoefficients(a=a, d=d)
+    if ctx.mode == "dense":
+        return _dense_analyze(ctx, spec.h0, spec.h1, x)
     a = apply_kernel(ctx, spec.h0, x)[ctx.partition.a_idx]
     d = apply_kernel(ctx, spec.h1, x)[ctx.partition.b_idx]
     return ChannelCoefficients(a=a, d=d)
@@ -279,7 +328,10 @@ def synthesize(spec, ctx, coeffs):
         up_b = np.zeros(shape)
         up_a[ctx.partition.a_idx] = a
         up_b[ctx.partition.b_idx] = d
-        x = apply_kernel(ctx, spec.g0, up_a) + apply_kernel(ctx, spec.g1, up_b)
+        if ctx.mode == "dense":
+            x = _dense_synthesize(ctx, spec.g0, spec.g1, up_a, up_b)
+        else:
+            x = apply_kernel(ctx, spec.g0, up_a) + apply_kernel(ctx, spec.g1, up_b)
     if post is not None:
         x = (x.T * post).T
     return x
@@ -327,7 +379,8 @@ def _spectrum_for_checks(ctx, dense_cap=2048):
     if ctx.basis is not None:
         return ctx.basis.lam, "computed"
     if ctx.n <= dense_cap:
-        return mq_eigendecompose(ctx.m, ctx.q).lam, "computed"
+        return (mq_eigendecompose(ctx.m, ctx.q, partition=ctx.partition).lam,
+                "computed")
     return np.linspace(0.0, 2.0, 2001), "grid"
 
 

@@ -186,6 +186,40 @@ class TestLifting:
         rel = np.linalg.norm(rec - pc.attributes) / np.linalg.norm(pc.attributes)
         assert rel <= 1e-10
 
+    def test_custom_kernels_solve_q_by_blocks(self, monkeypatch):
+        import mqfb.filterbank as fbm
+
+        def no_q(*args, **kwargs):
+            raise AssertionError("the n x n Q was assembled")
+
+        shapes = []
+        splu = spla.splu
+
+        def counting(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return splu(a, *args, **kwargs)
+
+        g = random_connected_graph(120, seed=23)
+        m = combinatorial_laplacian(g)
+        p = random_partition(120, 23)
+        dense = make_context(m, p, mode="dense")
+        monkeypatch.setattr(fbm, "build_block_diag_q", no_q)
+        monkeypatch.setattr(spla, "splu", counting)
+        poly = make_context(m, p, mode="poly")
+        custom = FilterBankSpec(h0=Kernel(coeffs=(1.0, 0.5)),
+                                h1=Kernel(coeffs=(0.0, 1.0, -0.25)),
+                                g0=Kernel(coeffs=(2.0, -1.0)),
+                                g1=Kernel(coeffs=(1.0,)))
+        x = np.random.default_rng(23).standard_normal((120, 2))
+        cp = analyze(custom, poly, x)
+        cd = analyze(custom, dense, x)
+        np.testing.assert_allclose(cp.a, cd.a, atol=1e-9)
+        np.testing.assert_allclose(cp.d, cd.d, atol=1e-9)
+        np.testing.assert_allclose(synthesize(custom, poly, cp),
+                                   synthesize(custom, dense, cp), atol=1e-9)
+        na, nb = p.a_idx.size, p.b_idx.size
+        assert sorted(shapes) == sorted([(nb, nb), (na, na)])
+
     def test_component_wholly_on_a_rejected(self):
         # two disjoint connected graphs; the second lies entirely on side A
         g1 = random_connected_graph(20, seed=31)

@@ -16,15 +16,17 @@ from mqfb.gft import (
     spectrum_properties,
     verify_spectral_folding,
 )
+from mqfb.filterbank import Kernel
 from mqfb.graphs import (
     Graph,
     Partition,
+    bipartize,
     combinatorial_laplacian,
     degrees,
     normalized_laplacian,
     random_partition,
 )
-from mqfb.sparse_core import SpdSolver, build_block_diag_q
+from mqfb.sparse_core import NotPositiveDefinite, SpdSolver, build_block_diag_q
 from mqfb.synthetic import random_bipartite_graph, random_connected_graph
 
 
@@ -72,6 +74,88 @@ class TestEigendecompose:
         m = sp.eye(10).tocsr()
         with pytest.raises(DenseCapExceeded):
             mq_eigendecompose(m, m, dense_cap=5)
+
+
+def sided_partition(n, n_a, seed):
+    """Random partition with exactly n_a vertices on side A."""
+    f = -np.ones(n, dtype=np.int8)
+    f[np.random.default_rng(seed).permutation(n)[:n_a]] = 1
+    return Partition(f)
+
+
+def assert_folded_matches_generic(m, p, seed):
+    q = build_block_diag_q(m, p)
+    folded = mq_eigendecompose(m, q, partition=p)
+    generic = mq_eigendecompose(m, q)
+    np.testing.assert_allclose(folded.lam, generic.lam, rtol=0, atol=1e-10)
+    assert np.all(np.diff(folded.lam) >= 0)
+    n = m.shape[0]
+    md, qd, u = m.toarray(), q.toarray(), folded.u
+    assert np.max(np.abs(u.T @ qd @ u - np.eye(n))) <= 1e-10
+    assert np.max(np.abs(md @ u - (qd @ u) * folded.lam)) <= 1e-10
+    x = np.random.default_rng(seed).standard_normal((n, 2))
+    for name in ("cos_quarter", "sin_quarter"):
+        k = Kernel(name=name)
+        np.testing.assert_allclose(dense_spectral_filter(folded, k, x),
+                                   dense_spectral_filter(generic, k, x),
+                                   rtol=0, atol=1e-10 * np.max(np.abs(x)))
+    return folded
+
+
+class TestFoldedBasis:
+    """mq_eigendecompose(..., partition=p) against the generic eigensolver."""
+
+    @pytest.mark.parametrize("share", [0.7, 0.3, 0.5])
+    def test_battery_both_laplacians(self, share):
+        rng = np.random.default_rng(int(share * 10))
+        for trial in range(8):
+            n = 2 * int(rng.integers(5, 75))
+            g = random_connected_graph(n, p=0.1, seed=trial)
+            p = sided_partition(n, int(round(share * n)), trial)
+            for lap in (combinatorial_laplacian, normalized_laplacian):
+                b = assert_folded_matches_generic(lap(g), p, trial)
+                assert spectrum_is_folded(b.lam)
+                rep = spectrum_properties(b, p)
+                assert rep["count_at_one"] >= rep["forced_one_multiplicity"]
+
+    def test_bipartized_identity_q(self):
+        for seed in range(4):
+            g = random_connected_graph(60, p=0.15, seed=seed)
+            p = random_partition(60, seed)
+            m = normalized_laplacian(bipartize(g, p), allow_isolated=True)
+            np.testing.assert_allclose(build_block_diag_q(m, p).toarray(),
+                                       np.eye(60), atol=1e-14)
+            assert_folded_matches_generic(m, p, seed)
+
+    def test_passes_independent_folding_check(self):
+        g = random_connected_graph(90, seed=5)
+        m = combinatorial_laplacian(g)
+        p = random_partition(90, 5)
+        q = build_block_diag_q(m, p)
+        b = mq_eigendecompose(m, q, partition=p)
+        assert verify_spectral_folding(b, p, tol=1e-8, m=m)["passed"]
+
+    def test_component_wholly_on_one_side_rejected(self):
+        # weighted blocks: a singular one can factor with a roundoff pivot
+        g1 = random_connected_graph(20, seed=31)
+        g2 = random_connected_graph(12, seed=32)
+        adj = sp.csr_array(sp.block_diag([g1.adjacency, g2.adjacency]))
+        m = combinatorial_laplacian(Graph(adj))
+        f = np.where(np.arange(32) % 2 == 0, 1, -1)
+        f[20:] = 1
+        for p in (Partition(f), Partition(-f)):
+            with pytest.raises(NotPositiveDefinite):
+                mq_eigendecompose(m, build_block_diag_q(m, p), partition=p)
+        f[20] = -1
+        assert_folded_matches_generic(m, Partition(f), 0)
+
+    def test_wrong_q_rejected(self):
+        g = random_connected_graph(30, seed=6)
+        m = combinatorial_laplacian(g)
+        p = random_partition(30, 6)
+        for q in (sp.csr_array(sp.eye(30)), m, 2.0 * build_block_diag_q(m, p)):
+            with pytest.raises(WrongInnerProduct):
+                mq_eigendecompose(m, q, partition=p)
 
 
 class TestSpectralFolding:

@@ -80,6 +80,21 @@ class TestReconstruct:
         rel = np.linalg.norm(rec - pc.attributes) / np.linalg.norm(pc.attributes)
         assert rel <= 1e-8
 
+    def test_orthogonal_dense_at_pipeline_scale(self):
+        pc = gaussian_blob_cloud(2000, seed=0)
+        spec = fb.orthogonal_cosine_spec()
+        tree = decompose(pc, spec, k=5, levels=3, seed=0)
+        rec = reconstruct(tree)
+        rel = np.linalg.norm(rec - pc.attributes) / np.linalg.norm(pc.attributes)
+        assert rel <= 1e-8
+        # the level-0 context decompose filtered with is Q-orthogonal
+        lv = tree.levels[0]
+        g = gb.Graph(lv.adjacency)
+        ctx = fb.make_context(gb.combinatorial_laplacian(g), lv.partition,
+                              mode="dense")
+        rep = fb.check_q_orthogonality(spec, ctx, trials=3)
+        assert rep["passed"], rep
+
     def test_roundtrip_baseline(self):
         pc = small_cloud(600)
         tree = decompose(pc, fb.lazy_spec(), k=10, levels=3, seed=9,
