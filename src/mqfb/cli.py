@@ -1,8 +1,10 @@
-"""Command-line entry point: verify / decompose / reconstruct / bench.
+"""Command-line entry point: verify / decompose / reconstruct.
 
 Every report embeds the resolved run configuration so reruns with the same
-flags reproduce all non-timing fields (direct solver mode).  Exit codes:
-0 success, 2 validation/check failure, 3 IO error, 4 numerical failure.
+flags reproduce all non-timing fields.  Exit codes: 0 success,
+2 validation/check failure (including a tree in an unknown format),
+3 IO error (including a missing, truncated or corrupted tree file),
+4 numerical failure.
 """
 
 from __future__ import annotations
@@ -181,55 +183,6 @@ def cmd_reconstruct(args):
     return EXIT_OK
 
 
-def cmd_bench(args):
-    """Per-stage wall clock for the proposed arm and the bipartite arms."""
-    arms = [("proposed", args.k, False)] + \
-           [("bipartite", kb, True) for kb in args.baseline_k]
-    spec = fb.lazy_spec()
-    rows = []
-    for frame in range(args.frames):
-        pc = synthetic.gaussian_blob_cloud(args.n, seed=args.seed + frame)
-        for arm, k, baseline in arms:
-            stages = {s: 0.0 for s in
-                      ("knn", "laplacian", "partition", "filter", "total")}
-            t_total = time.perf_counter()
-            seeds = np.random.SeedSequence(args.seed + frame).spawn(args.levels)
-            pos, x = pc.positions, pc.attributes
-            for ell in range(args.levels):
-                n = pos.shape[0]
-                if n < mr.MIN_LEVEL_POINTS or n <= k:
-                    break
-                t = time.perf_counter()
-                g = gb.knn_graph(gb.PointCloud(pos, np.empty((n, 0))), k)
-                stages["knn"] += time.perf_counter() - t
-                t = time.perf_counter()
-                p = gb.random_partition(n, seeds[ell])
-                stages["partition"] += time.perf_counter() - t
-                if baseline:
-                    g = gb.bipartize(g, p)
-                t = time.perf_counter()
-                if baseline:
-                    m = gb.normalized_laplacian(g, allow_isolated=True)
-                else:
-                    m = gb.combinatorial_laplacian(g)
-                stages["laplacian"] += time.perf_counter() - t
-                t = time.perf_counter()
-                ctx = fb.make_context(m, p, mode="poly")
-                coeffs = fb.analyze(spec, ctx, x)
-                stages["filter"] += time.perf_counter() - t
-                pos, x = pos[p.a_idx], coeffs.a
-            stages["total"] = time.perf_counter() - t_total
-            rows.append({"frame": frame, "arm": arm, "K": k,
-                         "n": args.n, "L": args.levels,
-                         **{k2: round(v, 6) for k2, v in stages.items()}})
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
-    print(f"wrote {args.out} ({len(rows)} rows)")
-    return EXIT_OK
-
-
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="mqfb",
@@ -271,16 +224,6 @@ def build_parser():
     r.add_argument("--out", required=True, help="binary float64 output")
     r.add_argument("--report", default=None)
     r.set_defaults(func=cmd_reconstruct)
-
-    b = sub.add_parser("bench", help="stage timings, proposed vs bipartite arms")
-    b.add_argument("--frames", type=int, default=3)
-    b.add_argument("--n", type=int, default=50_000)
-    b.add_argument("--k", type=int, default=5)
-    b.add_argument("--baseline-k", type=int, nargs="*", default=[10, 20])
-    b.add_argument("--levels", type=int, default=7)
-    b.add_argument("--seed", type=int, default=0)
-    b.add_argument("--out", required=True)
-    b.set_defaults(func=cmd_bench)
     return ap
 
 

@@ -160,11 +160,10 @@ class LiftingStep:
     mat-vec and one |B|-sized SPD solve per step.  Only M_BB is factored.
     """
 
-    def __init__(self, m, partition, solver_mode, solver_tol):
+    def __init__(self, m, partition):
         rows_b = m[partition.b_idx]
         self.m_ba = sp.csr_array(rows_b[:, partition.a_idx])
-        self.solver = SpdSolver(rows_b[:, partition.b_idx], mode=solver_mode,
-                                tol=solver_tol)
+        self.solver = SpdSolver(rows_b[:, partition.b_idx])
 
     def predict(self, a):
         """P a = M_BB^{-1} M_BA a."""
@@ -184,16 +183,13 @@ class FilterContext:
     wrapping needs them).
     """
 
-    def __init__(self, m, partition, mode, q=None, basis=None, degree_scale=None,
-                 solver_mode="direct", solver_tol=1e-10):
+    def __init__(self, m, partition, mode, q=None, basis=None, degree_scale=None):
         self.m = sp.csr_array(m)
         self.partition = partition
         self.mode = mode
         self.basis = basis
         self.lifting = None
         self.degree_scale = degree_scale
-        self.solver_mode = solver_mode
-        self.solver_tol = solver_tol
         self._q = q
         self._z = None
 
@@ -211,8 +207,7 @@ class FilterContext:
     def z(self):
         if self._z is None:
             def block_solver(idx):
-                return SpdSolver(extract_principal_block(self.m, idx),
-                                 mode=self.solver_mode, tol=self.solver_tol)
+                return SpdSolver(extract_principal_block(self.m, idx))
 
             solver_b = (self.lifting.solver if self.lifting is not None
                         else block_solver(self.partition.b_idx))
@@ -222,27 +217,22 @@ class FilterContext:
         return self._z
 
 
-def make_context(m, partition, mode="poly", solver_mode="direct", solver_tol=1e-10,
-                 degrees=None, dense_cap=None):
+def make_context(m, partition, mode="poly", degrees=None, dense_cap=None):
     """Build a FilterContext for Q = block-diagonal of M under the partition.
 
     Raises NotPositiveDefinite when Q is not positive definite.  Poly mode
     decides this without Q: the A block by structure (or one factor when
     its structure is not Laplacian-like), the B block by the factor of
-    M_BB that the lifting step keeps.  With the CG solver nothing is
-    factored, so, as before, definiteness is not checked up front.
+    M_BB that the lifting step keeps.
     """
-    ctx = FilterContext(m, partition, mode, degree_scale=degrees,
-                        solver_mode=solver_mode, solver_tol=solver_tol)
+    ctx = FilterContext(m, partition, mode, degree_scale=degrees)
     if mode == "dense":
         kwargs = {} if dense_cap is None else {"dense_cap": dense_cap}
         ctx.basis = mq_eigendecompose(ctx.m, ctx.q, partition=partition,
                                       **kwargs)
     elif mode == "poly":
-        if solver_mode == "direct":
-            check_positive_definite(
-                extract_principal_block(ctx.m, partition.a_idx))
-        ctx.lifting = LiftingStep(ctx.m, partition, solver_mode, solver_tol)
+        check_positive_definite(extract_principal_block(ctx.m, partition.a_idx))
+        ctx.lifting = LiftingStep(ctx.m, partition)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return ctx

@@ -88,13 +88,6 @@ class Partition:
     def b_idx(self):
         return np.flatnonzero(self.f == -1)
 
-    def save(self, path):
-        np.savetxt(path, self.f, fmt="%d")
-
-    @classmethod
-    def load(cls, path):
-        return cls(np.loadtxt(path, dtype=np.int64))
-
 
 # ---------------------------------------------------------------------------
 # PLY input/output
@@ -220,7 +213,7 @@ def save_ply(path, pc, binary=True):
 # ---------------------------------------------------------------------------
 # Graph construction
 
-def knn_graph(pc, k, exact=None):
+def knn_graph(pc, k):
     """Symmetric-union KNN graph with inverse-distance weights.
 
     An edge (i, j) exists when i is among the k nearest neighbors of j or

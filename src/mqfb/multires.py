@@ -4,7 +4,8 @@ Each level builds a fresh KNN graph on the current points, forms the
 variation operator and its block-diagonal Q from a random bipartition,
 runs one analysis step, and recurses on the low-pass (A-side) points.
 The bipartite baseline additionally drops within-side edges and switches
-to the normalized Laplacian with Q = I.
+to the normalized Laplacian with Q = I.  A tree is saved as a directory of
+two files: meta.json and one uncompressed tree.npz.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import copy
 import json
 import os
+import zipfile
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,7 +22,13 @@ import scipy.sparse as sp
 
 from . import filterbank as fb
 from . import graphs as gb
-from .sparse_core import NotPositiveDefinite, load_matrix_market, save_matrix_market
+# the Matrix Market helpers are no longer called here; perfbench's tracer
+# still wraps them under these names
+from .sparse_core import (  # noqa: F401
+    NotPositiveDefinite,
+    load_matrix_market,
+    save_matrix_market,
+)
 
 MIN_LEVEL_POINTS = 4
 
@@ -58,18 +67,12 @@ def _level_context(adjacency, partition, meta):
         m = gb.normalized_laplacian(g, allow_isolated=meta["baseline"])
     else:
         m = gb.combinatorial_laplacian(g)
-    return fb.make_context(
-        m,
-        partition,
-        mode=meta["mode"],
-        solver_mode=meta.get("solver", "direct"),
-        solver_tol=meta.get("solver_tol", 1e-10),
-        degrees=gb.degrees(g),
-    )
+    return fb.make_context(m, partition, mode=meta["mode"],
+                           degrees=gb.degrees(g))
 
 
 def decompose(pc, spec, k, levels, seed, operator="comb", baseline=False,
-              mode=None, solver_mode="direct", solver_tol=1e-10):
+              mode=None):
     """Run the iterated analysis filter-bank on the attribute channels."""
     if levels < 1:
         raise ValueError("levels must be >= 1")
@@ -90,8 +93,6 @@ def decompose(pc, spec, k, levels, seed, operator="comb", baseline=False,
         "operator": operator,
         "baseline": bool(baseline),
         "mode": mode,
-        "solver": solver_mode,
-        "solver_tol": solver_tol,
         "spec": base_spec.to_json(),
         "zero_dc": zero_dc,
         "family": base_spec.family,
@@ -265,38 +266,132 @@ def linear_approximation(tree, keep, original, peak=255.0):
 
 
 # ---------------------------------------------------------------------------
-# Tree serialization (directory layout)
+# Tree serialization: meta.json + one uncompressed tree.npz
+
+FORMAT_VERSION = 1
+META_FILE = "meta.json"
+ARRAYS_FILE = "tree.npz"
+
+
+class TreeFormatError(ValueError):
+    """The tree directory was written in a layout this version cannot read."""
+
+
+class CorruptTree(OSError):
+    """A tree file is missing, truncated or fails its shape or checksum."""
+
+
+def _tree_arrays(tree):
+    """Name -> array for everything tree.npz holds.
+
+    Each adjacency is kept as its strict upper triangle in CSR (the graphs
+    are symmetric with an empty diagonal) and each partition as its A-side
+    mask packed eight vertices to a byte.
+    """
+    arrays = {"root": np.asarray(tree.root, dtype="<f8")}
+    for i, lv in enumerate(tree.levels):
+        u = sp.triu(lv.adjacency, k=1, format="csr")
+        wide = max(u.shape[0], u.nnz) >= 2**31
+        idx = "<i8" if wide else "<i4"
+        arrays.update({
+            f"level_{i:02d}/indptr": u.indptr.astype(idx),
+            f"level_{i:02d}/indices": u.indices.astype(idx),
+            f"level_{i:02d}/weights": u.data.astype("<f8"),
+            f"level_{i:02d}/side_a": np.packbits(lv.partition.f == 1),
+            f"level_{i:02d}/details": np.asarray(lv.details, dtype="<f8"),
+        })
+    return arrays
+
+
+def _write_arrays(fname, arrays):
+    """Write ``arrays`` to an uncompressed npz; return each one's spec."""
+    arrays = {k: np.ascontiguousarray(a) for k, a in arrays.items()}
+    np.savez(fname, **arrays)
+    return {k: {"shape": list(a.shape), "dtype": a.dtype.str,
+                "crc32": zlib.crc32(a)}
+            for k, a in arrays.items()}
+
 
 def save_tree(tree, path):
+    """Write ``tree`` as ``path``/meta.json and ``path``/tree.npz.
+
+    meta.json holds the tree's meta, FORMAT_VERSION and, for every array in
+    tree.npz, its shape, dtype and zlib crc32, which load_tree checks.
+    """
     os.makedirs(path, exist_ok=True)
-    for i, lv in enumerate(tree.levels):
-        d = os.path.join(path, f"level_{i:02d}")
-        os.makedirs(d, exist_ok=True)
-        lv.partition.save(os.path.join(d, "partition.txt"))
-        save_matrix_market(os.path.join(d, "graph.mtx"), lv.adjacency)
-        np.asarray(lv.details, dtype="<f8").tofile(os.path.join(d, "details.bin"))
-    np.asarray(tree.root, dtype="<f8").tofile(os.path.join(path, "root.bin"))
     meta = dict(tree.meta)
-    meta["root_rows"] = int(tree.root.shape[0])
-    meta["level_detail_rows"] = [int(lv.details.shape[0]) for lv in tree.levels]
-    with open(os.path.join(path, "meta.json"), "w") as fh:
+    meta["format_version"] = FORMAT_VERSION
+    meta["arrays"] = _write_arrays(os.path.join(path, ARRAYS_FILE),
+                                   _tree_arrays(tree))
+    with open(os.path.join(path, META_FILE), "w") as fh:
         json.dump(meta, fh, indent=2)
 
 
+def _read_meta(path):
+    fname = os.path.join(path, META_FILE)
+    with open(fname) as fh:
+        try:
+            meta = json.load(fh)
+        except ValueError as e:
+            raise CorruptTree(f"{fname}: not valid JSON ({e})") from e
+    if not isinstance(meta, dict):
+        raise CorruptTree(f"{fname}: not a JSON object")
+    version = meta.pop("format_version", None)
+    if version != FORMAT_VERSION:
+        raise TreeFormatError(
+            f"{fname}: tree format_version {version!r} is not "
+            f"{FORMAT_VERSION}; re-run `mqfb decompose` to rewrite the tree"
+        )
+    if not isinstance(meta.get("arrays"), dict):
+        raise CorruptTree(f"{fname}: no array list")
+    return meta
+
+
+def _read_arrays(fname, spec):
+    """Every array listed in ``spec``, checked against its shape and crc32."""
+    out = {}
+    try:
+        with np.load(fname) as npz:
+            for name, want in spec.items():
+                try:
+                    a = npz[name]
+                except (KeyError, ValueError, EOFError, zipfile.BadZipFile,
+                        zlib.error) as e:
+                    raise CorruptTree(
+                        f"{fname}: array {name!r} is unreadable ({e})") from e
+                if (list(a.shape) != want.get("shape")
+                        or a.dtype.str != want.get("dtype")):
+                    raise CorruptTree(
+                        f"{fname}: array {name!r} is {a.dtype.str}{list(a.shape)},"
+                        f" meta.json says {want.get('dtype')}{want.get('shape')}")
+                if zlib.crc32(a) != want.get("crc32"):
+                    raise CorruptTree(
+                        f"{fname}: array {name!r} fails its crc32 checksum")
+                out[name] = a
+    except (zipfile.BadZipFile, EOFError, ValueError) as e:
+        raise CorruptTree(f"{fname}: not a readable npz file ({e})") from e
+    return out
+
+
 def load_tree(path):
-    with open(os.path.join(path, "meta.json")) as fh:
-        meta = json.load(fh)
-    c = meta["channels"]
+    """Read a tree written by save_tree.
+
+    A missing, truncated or corrupted file raises an OSError that names it
+    (and the array, when one array is at fault); a directory written in
+    another layout raises TreeFormatError.
+    """
+    meta = _read_meta(path)
+    arrays = _read_arrays(os.path.join(path, ARRAYS_FILE), meta.pop("arrays"))
     levels = []
-    for i, rows in enumerate(meta["level_detail_rows"]):
-        d = os.path.join(path, f"level_{i:02d}")
-        partition = gb.Partition.load(os.path.join(d, "partition.txt"))
-        adjacency = load_matrix_market(os.path.join(d, "graph.mtx"))
-        details = np.fromfile(os.path.join(d, "details.bin"),
-                              dtype="<f8").reshape(rows, c)
-        levels.append(LevelRecord(partition, adjacency, details))
-    root = np.fromfile(os.path.join(path, "root.bin"),
-                       dtype="<f8").reshape(meta["root_rows"], c)
-    meta.pop("root_rows")
-    meta.pop("level_detail_rows")
-    return DecompositionTree(levels=levels, root=root, meta=meta)
+    while (key := f"level_{len(levels):02d}/") + "details" in arrays:
+        indptr = arrays[key + "indptr"]
+        n = indptr.size - 1
+        u = sp.csr_array((arrays[key + "weights"], arrays[key + "indices"],
+                          indptr), shape=(n, n))
+        side_a = np.unpackbits(arrays[key + "side_a"], count=n).astype(bool)
+        levels.append(LevelRecord(
+            partition=gb.Partition(np.where(side_a, 1, -1)),
+            adjacency=sp.csr_array(u + u.T),
+            details=arrays[key + "details"],
+        ))
+    return DecompositionTree(levels=levels, root=arrays["root"], meta=meta)

@@ -3,8 +3,7 @@
 Matrices are plain ``scipy.sparse`` CSR/CSC arrays; this module adds the
 operations the filter-bank pipeline needs on top of them: principal-block
 extraction by vertex subset, assembly of the block-diagonal inner-product
-matrix, and a positive-definite solver with a direct (sparse LU in symmetric
-mode) default and a conjugate-gradient fallback.
+matrix, and a positive-definite solver (sparse LU in symmetric mode).
 """
 
 from __future__ import annotations
@@ -74,19 +73,15 @@ def _is_diagonal(m):
 class SpdSolver:
     """Solver for S z = y with S symmetric positive definite.
 
-    mode "direct" factorizes once with sparse LU in symmetric mode and
-    checks positive definiteness from the signs of the U diagonal; mode
-    "cg" runs conjugate gradient to the requested relative residual.
-    Diagonal matrices take a fast reciprocal path in either mode.
+    Factorizes once with sparse LU in symmetric mode and checks positive
+    definiteness from the signs of the U diagonal.  Diagonal matrices take
+    a fast reciprocal path.
     """
 
-    def __init__(self, matrix, mode="direct", tol=1e-10):
+    def __init__(self, matrix):
         matrix = sp.csc_array(matrix)
         if matrix.shape[0] != matrix.shape[1]:
             raise ValueError("matrix must be square")
-        self.matrix = matrix
-        self.mode = mode
-        self.tol = tol
         self.n = matrix.shape[0]
         self._diag = None
         self._lu = None
@@ -95,7 +90,7 @@ class SpdSolver:
             if np.any(d <= 0):
                 raise NotPositiveDefinite("nonpositive diagonal entry")
             self._diag = d
-        elif mode == "direct":
+        else:
             try:
                 lu = spla.splu(
                     matrix,
@@ -113,8 +108,6 @@ class SpdSolver:
                     "LU factor has nonpositive or vanishing pivot"
                 )
             self._lu = lu
-        elif mode != "cg":
-            raise ValueError(f"unknown solver mode {mode!r}")
 
     def solve(self, y):
         """Solve S z = y; y may be a vector or an (n, k) block of RHSs."""
@@ -123,20 +116,7 @@ class SpdSolver:
             raise ValueError(f"rhs has dim {y.shape[0]}, expected {self.n}")
         if self._diag is not None:
             return (y.T / self._diag).T
-        if self._lu is not None:
-            return self._lu.solve(y)
-        return self._solve_cg(y)
-
-    def _solve_cg(self, y):
-        def one(rhs):
-            z, info = spla.cg(self.matrix, rhs, rtol=self.tol, atol=0.0)
-            if info != 0:
-                raise NotPositiveDefinite(f"cg failed to converge (info={info})")
-            return z
-
-        if y.ndim == 1:
-            return one(y)
-        return np.column_stack([one(y[:, j]) for j in range(y.shape[1])])
+        return self._lu.solve(y)
 
 
 class BlockDiagonalSolver:
@@ -198,10 +178,6 @@ def check_positive_definite(matrix):
     SpdSolver(s)
 
 
-def spd_solve(solver, y):
-    return solver.solve(y)
-
-
 def save_matrix_market(path, m):
     """Write a symmetric sparse matrix in Matrix Market coordinate format."""
     from scipy.io import mmwrite
@@ -214,21 +190,3 @@ def load_matrix_market(path):
 
     return sp.csr_array(mmread(path))
 
-
-def save_vector(path, x, fmt="bin"):
-    """Dense vector as little-endian float64 binary or CSV."""
-    x = np.asarray(x, dtype="<f8")
-    if fmt == "bin":
-        x.tofile(path)
-    elif fmt == "csv":
-        np.savetxt(path, x, delimiter=",")
-    else:
-        raise ValueError(f"unknown vector format {fmt!r}")
-
-
-def load_vector(path, fmt="bin"):
-    if fmt == "bin":
-        return np.fromfile(path, dtype="<f8")
-    if fmt == "csv":
-        return np.loadtxt(path, delimiter=",")
-    raise ValueError(f"unknown vector format {fmt!r}")

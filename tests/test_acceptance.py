@@ -105,7 +105,7 @@ def test_criterion_3_perfect_reconstruction():
                                   seed=case + 900)
         m = gb.combinatorial_laplacian(g)
         p = gb.random_partition(n, case)
-        ctx = fb.make_context(m, p, mode="poly", solver_mode="direct")
+        ctx = fb.make_context(m, p, mode="poly")
         x = rng.standard_normal(n)
         xr = fb.synthesize(lazy, ctx, fb.analyze(lazy, ctx, x))
         worst_lazy = max(worst_lazy, np.linalg.norm(xr - x) / np.linalg.norm(x))

@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from mqfb.cli import (
     EXIT_OK,
     main,
 )
+from mqfb.multires import load_tree
 
 
 def test_verify_small_battery(tmp_path):
@@ -75,8 +77,8 @@ def test_decompose_determinism(tmp_path):
     for name in ("a", "b"):
         main(["decompose", "--synthetic", "800", "--k", "4", "--levels", "2",
               "--seed", "9", "--out", str(tmp_path / name)])
-    ra = np.fromfile(tmp_path / "a" / "root.bin")
-    rb = np.fromfile(tmp_path / "b" / "root.bin")
+    ra = load_tree(tmp_path / "a").root
+    rb = load_tree(tmp_path / "b").root
     np.testing.assert_array_equal(ra, rb)
 
 
@@ -84,20 +86,6 @@ def test_reconstruct_missing_tree(tmp_path):
     code = main(["reconstruct", "--input", str(tmp_path / "nope"),
                  "--out", str(tmp_path / "x.bin")])
     assert code == EXIT_IO
-
-
-def test_bench_accounting(tmp_path):
-    out = tmp_path / "bench.csv"
-    code = main(["bench", "--frames", "1", "--n", "3000", "--levels", "3",
-                 "--baseline-k", "10", "--out", str(out)])
-    assert code == EXIT_OK
-    with open(out) as fh:
-        rows = list(csv.DictReader(fh))
-    assert {r["arm"] for r in rows} == {"proposed", "bipartite"}
-    for r in rows:
-        stages = sum(float(r[s]) for s in
-                     ("knn", "laplacian", "partition", "filter"))
-        assert stages <= float(r["total"]) * 1.1
 
 
 def test_ply_input(tmp_path):
@@ -128,3 +116,71 @@ def test_decompose_mode_honoured_for_ortho(tmp_path, capsys):
     assert code == EXIT_CHECK_FAILED
     assert "no polynomial implementation" in capsys.readouterr().err
     assert not (tmp_path / "t").exists()
+
+
+@pytest.fixture(scope="module")
+def saved_tree(tmp_path_factory):
+    tree_dir = tmp_path_factory.mktemp("saved") / "tree"
+    assert main(["decompose", "--synthetic", "600", "--k", "4", "--levels",
+                 "2", "--out", str(tree_dir)]) == EXIT_OK
+    return tree_dir
+
+
+def _reconstruct(tree_dir, tmp_path, capsys):
+    capsys.readouterr()
+    code = main(["reconstruct", "--input", str(tree_dir),
+                 "--out", str(tmp_path / "rec.bin")])
+    return code, capsys.readouterr().err
+
+
+def _copy_tree(src, tmp_path):
+    dst = tmp_path / "tree"
+    shutil.copytree(src, dst)
+    return dst
+
+
+def test_reconstruct_truncated_tree(saved_tree, tmp_path, capsys):
+    tree_dir = _copy_tree(saved_tree, tmp_path)
+    npz = tree_dir / "tree.npz"
+    npz.write_bytes(npz.read_bytes()[: npz.stat().st_size // 2])
+    code, err = _reconstruct(tree_dir, tmp_path, capsys)
+    assert code == EXIT_IO
+    assert str(npz) in err
+
+
+def test_reconstruct_flipped_byte(saved_tree, tmp_path, capsys):
+    tree_dir = _copy_tree(saved_tree, tmp_path)
+    npz = tree_dir / "tree.npz"
+    details = load_tree(tree_dir).levels[1].details
+    raw = bytearray(npz.read_bytes())
+    at = raw.find(details.tobytes())
+    assert at > 0
+    raw[at + 3] ^= 0x10
+    npz.write_bytes(bytes(raw))
+    code, err = _reconstruct(tree_dir, tmp_path, capsys)
+    assert code == EXIT_IO
+    assert str(npz) in err and "level_01/details" in err
+
+
+def test_reconstruct_missing_npz(saved_tree, tmp_path, capsys):
+    tree_dir = _copy_tree(saved_tree, tmp_path)
+    (tree_dir / "tree.npz").unlink()
+    code, err = _reconstruct(tree_dir, tmp_path, capsys)
+    assert code == EXIT_IO
+    assert "tree.npz" in err
+
+
+@pytest.mark.parametrize("version", [0, None])
+def test_reconstruct_unknown_format_version(saved_tree, tmp_path, capsys,
+                                            version):
+    tree_dir = _copy_tree(saved_tree, tmp_path)
+    meta_path = tree_dir / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    if version is None:
+        del meta["format_version"]
+    else:
+        meta["format_version"] = version
+    meta_path.write_text(json.dumps(meta))
+    code, err = _reconstruct(tree_dir, tmp_path, capsys)
+    assert code == EXIT_CHECK_FAILED
+    assert str(meta_path) in err and "mqfb decompose" in err

@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from mqfb import filterbank as fb
 from mqfb import graphs as gb
 from mqfb.multires import (
+    CorruptTree,
     DecompositionTree,
     LevelRecord,
     decompose,
@@ -250,3 +253,46 @@ class TestTreeSerialization:
             np.testing.assert_array_equal(a.partition.f, b.partition.f)
         rec = reconstruct(loaded)
         np.testing.assert_array_equal(rec, reconstruct(tree))
+
+    @pytest.mark.parametrize("baseline", [False, True])
+    def test_roundtrip_bit_exact_at_20k(self, tmp_path, baseline):
+        pc = gaussian_blob_cloud(20_000, seed=0)
+        tree = decompose(pc, fb.lazy_spec(), k=5, levels=4, seed=0,
+                         baseline=baseline)
+        save_tree(tree, tmp_path / "tree")
+        assert sorted(p.name for p in (tmp_path / "tree").iterdir()) == [
+            "meta.json", "tree.npz"]
+        loaded = load_tree(tmp_path / "tree")
+        assert loaded.meta == tree.meta
+        np.testing.assert_array_equal(loaded.root, tree.root)
+        assert len(loaded.levels) == len(tree.levels) == 4
+        for a, b in zip(loaded.levels, tree.levels):
+            for part in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(a.adjacency, part),
+                                              getattr(b.adjacency, part))
+            np.testing.assert_array_equal(a.partition.f, b.partition.f)
+            np.testing.assert_array_equal(a.details, b.details)
+        np.testing.assert_array_equal(reconstruct(loaded), reconstruct(tree))
+
+    def test_checksum_catches_a_rewritten_array(self, tmp_path):
+        # a tree.npz rewritten with one changed value is a valid zip file, so
+        # only the crc32 in meta.json can tell
+        tree = decompose(small_cloud(), fb.lazy_spec(), k=4, levels=2, seed=1)
+        save_tree(tree, tmp_path)
+        npz = tmp_path / "tree.npz"
+        with np.load(npz) as z:
+            arrays = dict(z)
+        arrays["level_00/weights"][7] *= 2
+        np.savez(npz, **arrays)
+        with pytest.raises(CorruptTree, match="level_00/weights.*crc32"):
+            load_tree(tmp_path)
+
+    def test_shape_mismatch_names_the_array(self, tmp_path):
+        tree = decompose(small_cloud(), fb.lazy_spec(), k=4, levels=2, seed=1)
+        save_tree(tree, tmp_path)
+        meta_path = tmp_path / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["arrays"]["level_01/details"]["shape"][0] += 1
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(CorruptTree, match="tree.npz: array 'level_01/details'"):
+            load_tree(tmp_path)

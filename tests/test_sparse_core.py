@@ -11,10 +11,7 @@ from mqfb.sparse_core import (
     check_symmetric,
     extract_principal_block,
     load_matrix_market,
-    load_vector,
     save_matrix_market,
-    save_vector,
-    spd_solve,
     spmv,
 )
 from mqfb.graphs import Partition, combinatorial_laplacian
@@ -92,7 +89,7 @@ class TestSpdSolve:
     def test_identity(self):
         solver = SpdSolver(sp.eye(5).tocsc())
         y = np.arange(5.0)
-        np.testing.assert_allclose(spd_solve(solver, y), y)
+        np.testing.assert_allclose(solver.solve(y), y)
 
     def test_row_sum_one_matrix(self):
         solver = SpdSolver(sp.csc_array(np.array([[2.0, -1], [-1, 2]])))
@@ -106,9 +103,8 @@ class TestSpdSolve:
         rng = np.random.default_rng(2)
         y = rng.standard_normal(50)
         expected = np.linalg.solve(q.toarray(), y)
-        for mode in ("direct", "cg"):
-            z = SpdSolver(q, mode=mode).solve(y)
-            assert np.linalg.norm(z - expected) <= 1e-10 * np.linalg.norm(expected)
+        z = SpdSolver(q).solve(y)
+        assert np.linalg.norm(z - expected) <= 1e-10 * np.linalg.norm(expected)
 
     def test_not_positive_definite(self):
         g = random_connected_graph(20, seed=4)
@@ -200,10 +196,3 @@ def test_matrix_market_roundtrip(tmp_path):
     loaded = load_matrix_market(path)
     np.testing.assert_allclose(loaded.toarray(), m.toarray())
 
-
-@pytest.mark.parametrize("fmt", ["bin", "csv"])
-def test_vector_roundtrip(tmp_path, fmt):
-    x = np.random.default_rng(0).standard_normal(17)
-    path = tmp_path / f"v.{fmt}"
-    save_vector(path, x, fmt=fmt)
-    np.testing.assert_allclose(load_vector(path, fmt=fmt), x, atol=1e-15)
