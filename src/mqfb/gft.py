@@ -180,10 +180,6 @@ class FundamentalOperator:
         return self.q_solver.solve(spmv(self.m, x))
 
 
-def apply_fundamental(z, x):
-    return z.apply(x)
-
-
 def _fold_vector(f, u):
     return f * u if u.ndim == 1 else (f[:, None] * u)
 

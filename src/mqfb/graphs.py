@@ -8,6 +8,7 @@ bipartized baseline graph (cross edges only).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -60,6 +61,11 @@ class Graph:
     @property
     def n(self):
         return self.adjacency.shape[0]
+
+    @cached_property
+    def degrees(self):
+        """Weighted degrees (row sums of W), computed once per graph."""
+        return np.asarray(self.adjacency.sum(axis=1)).ravel()
 
 
 @dataclass(frozen=True)
@@ -219,6 +225,12 @@ def knn_graph(pc, k):
     An edge (i, j) exists when i is among the k nearest neighbors of j or
     vice versa; w_ij = 1/dist with distances floored at 1e-9 of the
     bounding-box diagonal so duplicate points stay finite.
+
+    The points are queried in the KD-tree's own leaf order (consecutive
+    queries walk the same nodes), split over every core.  A point's
+    neighbor list does not depend on the query order, so the graph is
+    bit-identical to a row-order query: canonical CSR (sorted indices, no
+    diagonal entries, no explicit zeros).
     """
     pos = pc.positions
     n = pos.shape[0]
@@ -227,37 +239,45 @@ def knn_graph(pc, k):
     if n <= k:
         raise ValueError("need more points than neighbors")
     tree = cKDTree(pos)
-    dist, idx = tree.query(pos, k=k + 1)
-    # drop one self match per row (usually the first column; under
-    # duplicate-point ties self may sit elsewhere or be absent entirely)
-    self_mask = idx == np.arange(n)[:, None]
-    drop = self_mask & (np.cumsum(self_mask, axis=1) == 1)
-    no_self = ~self_mask.any(axis=1)
-    drop[no_self, -1] = True
+    order = tree.indices
+    dist, idx = tree.query(pos[order], k=k + 1, workers=-1)
+    # drop the self match of each row (usually the first column; under
+    # duplicate-point ties self may sit elsewhere or be absent entirely, in
+    # which case the farthest neighbor goes); a row's neighbors are
+    # distinct, so this leaves k off-diagonal entries per row
+    drop = idx == order[:, None]
+    drop[~drop.any(axis=1), -1] = True
     keep = ~drop
-    rows = np.repeat(np.arange(n), k)
-    cols = idx[keep]
-    dists = dist[keep]
+    rows = np.repeat(order, k)
     bbox = pos.max(axis=0) - pos.min(axis=0)
     floor = 1e-9 * max(float(np.linalg.norm(bbox)), np.finfo(float).tiny)
-    w = 1.0 / np.maximum(dists, floor)
-    adj = sp.coo_array((w, (rows, cols)), shape=(n, n)).tocsr()
+    w = 1.0 / np.maximum(dist[keep], floor)  # finite and > 0
+    adj = sp.coo_array((w, (rows, idx[keep])), shape=(n, n)).tocsr()
     adj = adj.maximum(adj.T)  # symmetric union; equal weights either way
-    adj.setdiag(0)
-    adj.eliminate_zeros()
-    n_comp = sp.csgraph.connected_components(adj, directed=False)[0]
-    return Graph(sp.csr_array(adj), meta={"k": k, "components": n_comp})
+    # on a symmetric graph the strong components are the components, and
+    # the strong search needs no transpose
+    n_comp = sp.csgraph.connected_components(adj, connection="strong")[0]
+    return Graph(adj, meta={"k": k, "components": n_comp})
 
 
-def degrees(g):
-    return np.asarray(g.adjacency.sum(axis=1)).ravel()
+def _diagonal_plus(diag, off, w):
+    """diag(``diag``) + the matrix with values ``off`` on the pattern of ``w``.
+
+    One canonical CSR with int32 indices (int64 only past 2^31): zero
+    diagonal entries are left out, and ``w`` has no diagonal of its own.
+    """
+    n = w.shape[0]
+    idx = np.int32 if max(n, w.nnz + n) < 2**31 else np.int64
+    x = sp.csr_array((off, w.indices.astype(idx, copy=False),
+                      w.indptr.astype(idx, copy=False)),
+                     shape=w.shape)
+    return sp.diags_array(diag, format="csr") + x
 
 
 def combinatorial_laplacian(g):
     """L = D - W."""
     w = g.adjacency
-    d = degrees(g)
-    return sp.csr_array(sp.diags(d) - w)
+    return _diagonal_plus(g.degrees, -w.data, w)
 
 
 def normalized_laplacian(g, allow_isolated=False):
@@ -267,16 +287,15 @@ def normalized_laplacian(g, allow_isolated=False):
     raise, but the bipartite-baseline path sets their row/column to the
     identity row (allow_isolated=True).
     """
-    d = degrees(g)
+    d = g.degrees
     iso = d <= 0
     if np.any(iso) and not allow_isolated:
         raise ZeroDegree(f"{int(iso.sum())} isolated vertices")
     dis = np.zeros_like(d)
     dis[~iso] = 1.0 / np.sqrt(d[~iso])
-    s = sp.diags(dis)
-    lap = sp.eye(g.n) - s @ g.adjacency @ s
-    lap = sp.csr_array(lap)
-    return lap
+    w = g.adjacency
+    scaled = w.data * np.repeat(dis, np.diff(w.indptr)) * dis[w.indices]
+    return _diagonal_plus(np.ones(g.n), -scaled, w)
 
 
 def random_partition(n, seed):
@@ -292,13 +311,13 @@ def random_partition(n, seed):
 
 def bipartize(g, p):
     """Keep only edges crossing the (A, B) cut; weights preserved."""
-    f = p.f.astype(np.float64)
-    coo = sp.coo_array(g.adjacency)
-    keep = f[coo.row] != f[coo.col]
-    adj = sp.coo_array(
-        (coo.data[keep], (coo.row[keep], coo.col[keep])), shape=g.adjacency.shape
-    ).tocsr()
-    d = np.asarray(adj.sum(axis=1)).ravel()
+    w = g.adjacency
+    rows = np.repeat(np.arange(g.n), np.diff(w.indptr))
+    keep = p.f[rows] != p.f[w.indices]
+    counts = np.bincount(rows[keep], minlength=g.n)
+    indptr = np.zeros_like(w.indptr)
+    np.cumsum(counts, out=indptr[1:])
+    adj = sp.csr_array((w.data[keep], w.indices[keep], indptr), shape=w.shape)
     meta = dict(g.meta)
-    meta["isolated_after_bipartize"] = int(np.sum(d <= 0))
-    return Graph(sp.csr_array(adj), meta=meta)
+    meta["isolated_after_bipartize"] = int(np.sum(counts == 0))
+    return Graph(adj, meta=meta)

@@ -67,8 +67,7 @@ def _level_context(adjacency, partition, meta):
         m = gb.normalized_laplacian(g, allow_isolated=meta["baseline"])
     else:
         m = gb.combinatorial_laplacian(g)
-    return fb.make_context(m, partition, mode=meta["mode"],
-                           degrees=gb.degrees(g))
+    return fb.make_context(m, partition, mode=meta["mode"], degrees=g.degrees)
 
 
 def decompose(pc, spec, k, levels, seed, operator="comb", baseline=False,

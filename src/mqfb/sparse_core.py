@@ -22,14 +22,6 @@ class NotPositiveDefinite(ValueError):
     """Factorization detected that the matrix is not positive definite."""
 
 
-def check_symmetric(m, tol=0.0):
-    """Return True if the sparse matrix equals its transpose within tol."""
-    d = m - m.T
-    if d.nnz == 0:
-        return True
-    return np.max(np.abs(d.data)) <= tol
-
-
 def spmv(m, x):
     """Sparse matrix-vector (or matrix-matrix) product with a dim check."""
     x = np.asarray(x)

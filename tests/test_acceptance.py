@@ -168,7 +168,7 @@ def test_criterion_5_bipartite_specialization():
         # combinatorial Laplacian: Q = D and constants give zero detail
         lap = gb.combinatorial_laplacian(g)
         qd = build_block_diag_q(lap, p)
-        dd = np.abs(qd.toarray() - np.diag(gb.degrees(g))).max()
+        dd = np.abs(qd.toarray() - np.diag(g.degrees)).max()
         worst_q = max(worst_q, dd)
         ctx = fb.make_context(lap, p, mode="poly")
         c = fb.analyze(fb.lazy_spec(), ctx, np.ones(n))

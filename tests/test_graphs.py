@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.spatial import cKDTree
 
 from mqfb.graphs import (
     Partition,
@@ -8,7 +9,6 @@ from mqfb.graphs import (
     ZeroDegree,
     bipartize,
     combinatorial_laplacian,
-    degrees,
     knn_graph,
     load_ply,
     normalized_laplacian,
@@ -177,7 +177,7 @@ class TestLaplacians:
     def test_normalized_nullvector(self):
         g = random_connected_graph(60, seed=5)
         lap = normalized_laplacian(g)
-        v = np.sqrt(degrees(g))
+        v = np.sqrt(g.degrees)
         assert np.linalg.norm(lap @ v) < 1e-10 * np.linalg.norm(v)
 
     def test_isolated_vertex_raises(self):
@@ -258,3 +258,141 @@ class TestBipartize:
         np.testing.assert_allclose(
             twice.adjacency.toarray(), once.adjacency.toarray()
         )
+
+
+# ---------------------------------------------------------------------------
+# Bit-identity with the reference formulas: a row-order KD-tree query, the
+# COO round trip and the sparse-matmul Laplacians
+
+def knn_row_order(pos, k):
+    """The KNN graph from a row-order query, then setdiag/eliminate_zeros."""
+    n = pos.shape[0]
+    dist, idx = cKDTree(pos).query(pos, k=k + 1)
+    self_mask = idx == np.arange(n)[:, None]
+    drop = self_mask & (np.cumsum(self_mask, axis=1) == 1)
+    drop[~self_mask.any(axis=1), -1] = True
+    keep = ~drop
+    bbox = pos.max(axis=0) - pos.min(axis=0)
+    floor = 1e-9 * max(float(np.linalg.norm(bbox)), np.finfo(float).tiny)
+    w = 1.0 / np.maximum(dist[keep], floor)
+    rows = np.repeat(np.arange(n), k)
+    adj = sp.coo_array((w, (rows, idx[keep])), shape=(n, n)).tocsr()
+    adj = adj.maximum(adj.T)
+    adj.setdiag(0)
+    adj.eliminate_zeros()
+    return sp.csr_array(adj)
+
+
+def bipartize_coo(adj, p):
+    coo = sp.coo_array(adj)
+    keep = p.f[coo.row] != p.f[coo.col]
+    return sp.coo_array((coo.data[keep], (coo.row[keep], coo.col[keep])),
+                        shape=adj.shape).tocsr()
+
+
+def row_sums(adj):
+    return np.asarray(adj.sum(axis=1)).ravel()
+
+
+def combinatorial_diags(adj):
+    return sp.csr_array(sp.diags(row_sums(adj)) - adj)
+
+
+def normalized_matmul(adj):
+    d = row_sums(adj)
+    dis = np.zeros_like(d)
+    dis[d > 0] = 1.0 / np.sqrt(d[d > 0])
+    s = sp.diags(dis)
+    return sp.csr_array(sp.eye(adj.shape[0]) - s @ adj @ s)
+
+
+def assert_same_csr(got, want):
+    for part in ("indptr", "indices", "data"):
+        a, b = getattr(got, part), getattr(want, part)
+        assert a.dtype == b.dtype, part
+        assert np.array_equal(a, b), part
+
+
+def assert_canonical(m, diagonal):
+    """Sorted, duplicate-free rows, no explicit zeros, diagonal as asked."""
+    for i in range(m.shape[0]):
+        cols = m.indices[m.indptr[i]:m.indptr[i + 1]]
+        assert np.all(np.diff(cols) > 0)
+    assert np.all(m.data != 0)
+    rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+    assert np.any(rows == m.indices) == diagonal
+
+
+def _blob(n, seed=0):
+    return np.random.default_rng(seed).standard_normal((n, 3))
+
+
+def _line(n):
+    t = np.linspace(0.0, 1.0, n)
+    return np.column_stack([t, 2 * t, -t])
+
+
+CLOUDS = {
+    # name -> (positions, k)
+    "blob": (_blob(300), 5),
+    "doubled": (np.tile(_blob(80, 1), (2, 1)), 4),
+    "tripled": (np.repeat(_blob(60, 2), 3, axis=0), 5),
+    # 12 coincident points and k + 1 = 4: most of their rows miss self
+    "coincident": (np.vstack([np.zeros((12, 3)), _blob(40, 3)]), 3),
+    "collinear": (_line(50), 3),
+    "n_is_k_plus_1": (_blob(6, 4), 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOUDS))
+class TestBitIdentity:
+    def _graph(self, name):
+        pos, k = CLOUDS[name]
+        return knn_graph(PointCloud(pos, np.empty((len(pos), 0))), k)
+
+    def test_knn_matches_row_order_query(self, name):
+        pos, k = CLOUDS[name]
+        g = self._graph(name)
+        want = knn_row_order(pos, k)
+        assert_same_csr(g.adjacency, want)
+        assert_canonical(g.adjacency, diagonal=False)
+        n_comp = sp.csgraph.connected_components(want, directed=False)[0]
+        assert g.meta["components"] == n_comp
+
+    def test_laplacians_match_reference(self, name):
+        g = self._graph(name)
+        for lap, want in (
+            (combinatorial_laplacian(g), combinatorial_diags(g.adjacency)),
+            (normalized_laplacian(g), normalized_matmul(g.adjacency)),
+        ):
+            assert_same_csr(lap, want)
+            assert_canonical(lap, diagonal=True)
+
+    def test_bipartize_with_isolated_vertices(self, name):
+        g = self._graph(name)
+        # side A is the first half of the vertices, so on the line (and
+        # wherever a vertex sees only its own side) bipartizing isolates
+        p = Partition(np.where(np.arange(g.n) < g.n // 2, 1, -1))
+        bg = bipartize(g, p)
+        want = bipartize_coo(g.adjacency, p)
+        assert_same_csr(bg.adjacency, want)
+        assert_canonical(bg.adjacency, diagonal=False)
+        isolated = int(np.sum(row_sums(want) <= 0))
+        assert bg.meta["isolated_after_bipartize"] == isolated
+        assert_same_csr(normalized_laplacian(bg, allow_isolated=True),
+                        normalized_matmul(bg.adjacency))
+        assert_same_csr(combinatorial_laplacian(bg),
+                        combinatorial_diags(bg.adjacency))
+
+
+def test_bipartize_case_has_isolated_vertices():
+    pos, k = CLOUDS["collinear"]
+    g = knn_graph(PointCloud(pos, np.empty((len(pos), 0))), k)
+    p = Partition(np.where(np.arange(g.n) < g.n // 2, 1, -1))
+    assert bipartize(g, p).meta["isolated_after_bipartize"] > 0
+
+
+def test_coincident_cloud_has_rows_without_self():
+    pos, k = CLOUDS["coincident"]
+    idx = cKDTree(pos).query(pos, k=k + 1)[1]
+    assert np.any(~(idx == np.arange(len(pos))[:, None]).any(axis=1))

@@ -8,7 +8,6 @@ from mqfb.sparse_core import (
     SpdSolver,
     build_block_diag_q,
     check_positive_definite,
-    check_symmetric,
     extract_principal_block,
     load_matrix_market,
     save_matrix_market,
@@ -49,7 +48,7 @@ class TestExtractPrincipalBlock:
             m = combinatorial_laplacian(g)
             s = rng.choice(n, size=max(2, n // 3), replace=False)
             block = extract_principal_block(m, s)
-            assert check_symmetric(block)
+            assert (block != block.T).nnz == 0
             dense = block.toarray()
             w = np.linalg.eigvalsh(dense)
             assert w[0] >= -1e-10 * np.max(np.abs(dense))
@@ -82,7 +81,7 @@ class TestBuildBlockDiagQ:
         p = Partition(np.where(np.arange(50) % 3 == 0, 1, -1))
         q = build_block_diag_q(m, p)
         assert q.shape == m.shape
-        assert check_symmetric(q)
+        assert (q != q.T).nnz == 0
 
 
 class TestSpdSolve:
