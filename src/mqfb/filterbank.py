@@ -18,6 +18,7 @@ import scipy.sparse as sp
 
 from .gft import (
     FundamentalOperator,
+    _columns,
     dense_spectral_filter,
     gft_forward,
     gft_inverse,
@@ -173,10 +174,14 @@ class LiftingStep:
 class FilterContext:
     """Everything needed to apply spectral filters for one (M, partition).
 
-    Dense mode carries a GftBasis.  Poly mode carries the lazy bank's
-    LiftingStep; the block-diagonal Q (checkers) and the fundamental
-    operator Z = Q^{-1} M (custom polynomial kernels) are built on first
-    use.  Z solves with Q by blocks: the lifting step's M_BB factor and one
+    Dense mode carries a basis with ``lam``, ``forward`` and ``inverse``:
+    from make_context a FoldedBasis (sparse Cholesky factors of M_AA and
+    M_BB and the dense SVD factors of the folded pencil, about n^2 / 2
+    floats, filtered through without forming the n x n eigenvector
+    matrix), or an explicit GftBasis passed in.  Poly mode carries the
+    lazy bank's LiftingStep; the block-diagonal Q (checkers) and the
+    fundamental operator Z = Q^{-1} M (custom polynomial kernels) are built
+    on first use.  Z solves with Q by blocks: the lifting step's M_BB factor and one
     of M_AA, never a factor of the n x n Q (so Z uses the block-diagonal Q
     of M even when a different ``q`` was passed in).
     ``degree_scale`` is set when the graph degrees are known (zero-DC
@@ -255,10 +260,6 @@ def apply_kernel(ctx, kernel, x):
 
 def _lifts(spec, ctx):
     return spec.family == "lazy" and ctx.lifting is not None
-
-
-def _columns(x):
-    return x.reshape(x.shape[0], -1)
 
 
 def _dense_analyze(ctx, h0, h1, x):

@@ -9,18 +9,27 @@ multiplicity at lambda = 1.
 Given the partition, ``mq_eigendecompose`` builds the basis from that
 structure: with Cholesky factors M_AA = L_A L_A^T and M_BB = L_B L_B^T the
 pencil becomes I + [0 T; T^T 0] with T = L_A^{-1} M_AB L_B^{-T}, so one
-|A| x |B| SVD of T gives every eigenpair, and folding holds by
-construction.  Without it a generic n x n generalized eigensolver runs; the
+|A| x |B| SVD T = P diag(s) R^T gives every eigenpair, and folding holds by
+construction.  The resulting FoldedBasis keeps only s, the dense P and R
+(|A|^2 + |B|^2 floats, half of U on balanced sides) and L_A, L_B as sparse
+triangular factors, and transforms in those coordinates: a forward GFT is
+two sparse triangular and two half-size dense products, an inverse two
+half-size products and two sparse triangular solves.  Building it makes
+no back-solved eigenvectors and no n x n array; the eigenvector matrix U
+is assembled only when a checker asks for ``u``.  Without the partition
+a generic n x n generalized eigensolver builds an explicit GftBasis; the
 checkers here verify folding independently on a basis built that way.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 import scipy.sparse.csgraph as csgraph
 
 from .sparse_core import NotPositiveDefinite, spmv
@@ -48,36 +57,113 @@ class GftBasis:
     def n(self):
         return self.lam.size
 
+    def forward(self, x):
+        return self.u.T @ (self.q @ x)
+
+    def inverse(self, xhat):
+        return self.u @ xhat
+
+
+class FoldedBasis:
+    """Eigenbasis of (M, blockdiag(M_AA, M_BB)) kept as its folded factors.
+
+    With r = min(|A|, |B|), eigenvector k < r is (L_A^{-T} p_k,
+    -L_B^{-T} r_k) / sqrt2 at lambda = 1 - s_k, eigenvector n-1-k is
+    (L_A^{-T} p_k, L_B^{-T} r_k) / sqrt2 at 1 + s_k, and the columns of P
+    or R past r (larger side only, zero on the other) sit at lambda = 1.
+    ``u`` assembles that n x n matrix on first access; the transforms never
+    do.  ``lat`` and ``lbt`` hold L_A^T and L_B^T as sparse CSR: the
+    Cholesky factor of a graph's block keeps about the block's own
+    sparsity.
+    """
+
+    def __init__(self, q, partition, lat, lbt, p, s, r):
+        self.q = q
+        self.partition = partition
+        self.lat, self.lbt, self.p, self.s, self.r = lat, lbt, p, s, r
+        n, k = partition.n, s.size
+        self.lam = np.concatenate([1.0 - s, np.ones(n - 2 * k), 1.0 + s[::-1]])
+
+    @property
+    def n(self):
+        return self.lam.size
+
+    def forward(self, x):
+        """x_hat = U^T Q x from alpha = P^T L_A^T x_A, beta = R^T L_B^T x_B."""
+        xs = _columns(x)
+        alpha = self.p.T @ (self.lat @ xs[self.partition.a_idx])
+        beta = self.r.T @ (self.lbt @ xs[self.partition.b_idx])
+        n, k = self.n, self.s.size
+        c = np.sqrt(0.5)
+        xhat = np.empty((n, xs.shape[1]))
+        xhat[:k] = c * (alpha[:k] - beta[:k])
+        xhat[n - k:] = c * (alpha[:k] + beta[:k])[::-1]
+        xhat[k:n - k] = (alpha if alpha.shape[0] > k else beta)[k:]
+        return xhat.reshape(np.shape(x))
+
+    def inverse(self, xhat):
+        """x = U x_hat: recombine each pair, then x_A = L_A^{-T} P y_A and
+        x_B = L_B^{-T} R y_B."""
+        ys = _columns(xhat)
+        n, k = self.n, self.s.size
+        c = np.sqrt(0.5)
+        lo, hi = ys[:k], ys[n - k:][::-1]
+        a, b = self.partition.a_idx, self.partition.b_idx
+        ya = np.empty((a.size, ys.shape[1]))
+        yb = np.empty((b.size, ys.shape[1]))
+        ya[:k] = c * (hi + lo)
+        yb[:k] = c * (hi - lo)
+        (ya if a.size > k else yb)[k:] = ys[k:n - k]
+        x = np.empty((n, ys.shape[1]))
+        x[a] = spla.spsolve_triangular(self.lat, self.p @ ya, lower=False,
+                                       overwrite_b=True)
+        x[b] = spla.spsolve_triangular(self.lbt, self.r @ yb, lower=False,
+                                       overwrite_b=True)
+        return x.reshape(np.shape(xhat))
+
+    @functools.cached_property
+    def u(self):
+        """The n x n eigenvector matrix, U = U I (checkers and tests only)."""
+        return self.inverse(np.eye(self.n))
+
+
+def _columns(x):
+    x = np.asarray(x)
+    return x.reshape(x.shape[0], -1)
+
 
 def _dense(m):
     return m.toarray() if sp.issparse(m) else np.asarray(m, dtype=np.float64)
+
+
+def _sign_of_largest(v):
+    """Sign of each column's first entry of largest magnitude."""
+    return np.sign(v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])])
 
 
 def mq_eigendecompose(m, q, dense_cap=DENSE_CAP_DEFAULT, partition=None):
     """Solve M u = lambda Q u densely; Q must be PD.
 
     With ``partition``, Q must be the block-diagonal of M under it (else
-    WrongInnerProduct) and the basis is built by folding from one SVD;
-    otherwise by a generic generalized eigensolver.  Eigenvalues are
-    nondecreasing; each eigenvector's sign is fixed so its first component
-    of largest magnitude is positive.
+    WrongInnerProduct) and the result is a FoldedBasis built from one SVD;
+    its signs are fixed on the factors: each column of P has its first
+    entry of largest magnitude positive, r_k flips with p_k for k < r, and
+    R's columns past r follow the same rule as P's.  Otherwise a generic
+    generalized eigensolver gives a GftBasis whose eigenvectors each have
+    their first component of largest magnitude positive.  Either way the
+    eigenvalues are nondecreasing.
     """
     n = m.shape[0]
     if n > dense_cap:
         raise DenseCapExceeded(f"n={n} exceeds dense cap {dense_cap}")
     q_sparse = sp.csr_array(q)
     if partition is not None:
-        lam, u = _folded_eigenpairs(sp.csr_array(m), q_sparse, partition)
-    else:
-        try:
-            lam, u = scipy.linalg.eigh(_dense(m), _dense(q))
-        except scipy.linalg.LinAlgError as e:
-            raise NotPositiveDefinite(str(e)) from e
-    # fix signs for determinism
-    piv = np.argmax(np.abs(u), axis=0)
-    signs = np.sign(u[piv, np.arange(n)])
-    signs[signs == 0] = 1.0
-    u *= signs
+        return _folded_basis(sp.csr_array(m), q_sparse, partition)
+    try:
+        lam, u = scipy.linalg.eigh(_dense(m), _dense(q))
+    except scipy.linalg.LinAlgError as e:
+        raise NotPositiveDefinite(str(e)) from e
+    u *= _sign_of_largest(u)
     return GftBasis(u=u, lam=lam, q=q_sparse)
 
 
@@ -98,13 +184,8 @@ def _cholesky(block):
     return low
 
 
-def _folded_eigenpairs(m, q, partition):
-    """(lam, U) of the pencil (M, blockdiag(M_AA, M_BB)) from one SVD.
-
-    With T = P diag(s) R^T, each singular triple gives the pair
-    L^{-T}(p, -+r)/sqrt2 with lambda = 1 -+ s; the ||A| - |B|| singular
-    vectors left over on the larger side give lambda = 1.
-    """
+def _folded_basis(m, q, partition):
+    """FoldedBasis of the pencil (M, blockdiag(M_AA, M_BB)) from one SVD."""
     if partition.n != m.shape[0]:
         raise WrongInnerProduct("partition size does not match M")
     f = partition.f
@@ -121,22 +202,16 @@ def _folded_eigenpairs(m, q, partition):
     lb = _cholesky(m[b][:, b].toarray())
     t = scipy.linalg.solve_triangular(la, rows_a[:, b].toarray(), lower=True)
     t = scipy.linalg.solve_triangular(lb, t.T, lower=True).T
+    lat, lbt = sp.csr_array(la.T), sp.csr_array(lb.T)
+    del la, lb  # the dense factors need not live through the SVD
     p, s, rt = scipy.linalg.svd(t, full_matrices=True, lapack_driver="gesdd")
-    ua = scipy.linalg.solve_triangular(la, p, lower=True, trans="T")
-    ub = scipy.linalg.solve_triangular(lb, rt.T, lower=True, trans="T")
-    n, r = m.shape[0], s.size  # r = min(|A|, |B|) >= 1
-    c = np.sqrt(0.5)
-    u = np.zeros((n, n))
-    u[a, :r] = c * ua[:, :r]
-    u[b, :r] = -c * ub[:, :r]
-    u[a, n - r:] = c * ua[:, r - 1::-1]
-    u[b, n - r:] = c * ub[:, r - 1::-1]
-    if a.size > b.size:
-        u[a, r:n - r] = ua[:, r:]
-    else:
-        u[b, r:n - r] = ub[:, r:]
-    lam = np.concatenate([1.0 - s, np.ones(n - 2 * r), 1.0 + s[::-1]])
-    return lam, u
+    r = rt.T
+    k = s.size  # min(|A|, |B|) >= 1
+    flip = _sign_of_largest(p)
+    p *= flip
+    r[:, :k] *= flip[:k]
+    r[:, k:] *= _sign_of_largest(r[:, k:])
+    return FoldedBasis(q, partition, lat, lbt, p, s, r)
 
 
 def gft_forward(basis, x):
@@ -144,7 +219,7 @@ def gft_forward(basis, x):
     x = np.asarray(x)
     if x.shape[0] != basis.n:
         raise ValueError("dimension mismatch")
-    return basis.u.T @ (basis.q @ x)
+    return basis.forward(x)
 
 
 def gft_inverse(basis, xhat):
@@ -152,14 +227,14 @@ def gft_inverse(basis, xhat):
     xhat = np.asarray(xhat)
     if xhat.shape[0] != basis.n:
         raise ValueError("dimension mismatch")
-    return basis.u @ xhat
+    return basis.inverse(xhat)
 
 
 def dense_spectral_filter(basis, kernel, x):
     """Apply U h(Lam) U^T Q to x; kernel is any callable on [0, 2]."""
     xhat = gft_forward(basis, x)
     h = kernel(basis.lam)
-    return basis.u @ ((h * xhat.T).T)
+    return basis.inverse((h * xhat.T).T)
 
 
 class FundamentalOperator:

@@ -92,6 +92,14 @@ def assert_folded_matches_generic(m, p, seed):
     assert np.max(np.abs(u.T @ qd @ u - np.eye(n))) <= 1e-10
     assert np.max(np.abs(md @ u - (qd @ u) * folded.lam)) <= 1e-10
     x = np.random.default_rng(seed).standard_normal((n, 2))
+    xhat = gft_forward(folded, x)
+    expected = u.T @ (qd @ x)
+    assert np.max(np.abs(xhat - expected)) <= 1e-12 * np.max(np.abs(expected))
+    y = gft_inverse(folded, xhat)
+    assert np.max(np.abs(y - u @ xhat)) <= 1e-12 * np.max(np.abs(y))
+    assert np.linalg.norm(y - x) <= 1e-12 * np.linalg.norm(x)
+    np.testing.assert_allclose(gft_forward(folded, x[:, 0]), xhat[:, 0],
+                               rtol=0, atol=1e-12 * np.max(np.abs(xhat)))
     for name in ("cos_quarter", "sin_quarter"):
         k = Kernel(name=name)
         np.testing.assert_allclose(dense_spectral_filter(folded, k, x),

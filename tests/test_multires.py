@@ -5,6 +5,7 @@ import pytest
 
 from mqfb import filterbank as fb
 from mqfb import graphs as gb
+from mqfb.gft import FoldedBasis
 from mqfb.multires import (
     CorruptTree,
     DecompositionTree,
@@ -83,13 +84,20 @@ class TestReconstruct:
         rel = np.linalg.norm(rec - pc.attributes) / np.linalg.norm(pc.attributes)
         assert rel <= 1e-8
 
-    def test_orthogonal_dense_at_pipeline_scale(self):
+    def test_orthogonal_dense_at_pipeline_scale(self, monkeypatch):
+        # dense filtering works in the folded factors and never assembles U
+        def no_u(basis):
+            raise AssertionError("dense filtering assembled the n x n U")
+
+        monkeypatch.setattr(FoldedBasis, "u", property(no_u))
         pc = gaussian_blob_cloud(2000, seed=0)
         spec = fb.orthogonal_cosine_spec()
         tree = decompose(pc, spec, k=5, levels=3, seed=0)
         rec = reconstruct(tree)
         rel = np.linalg.norm(rec - pc.attributes) / np.linalg.norm(pc.attributes)
         assert rel <= 1e-8
+        res = linear_approximation(tree, 0.5, pc.attributes)
+        assert res.m_over_n < 1.0 and np.all(np.isfinite(res.psnr))
         # the level-0 context decompose filtered with is Q-orthogonal
         lv = tree.levels[0]
         g = gb.Graph(lv.adjacency)
