@@ -112,7 +112,7 @@ class FilterBankSpec:
         mode = d.get("mode")
         if family == "lazy":
             return lazy_spec() if mode is None else lazy_spec(mode=mode)
-        if family in ("ortho-cosine", "orthogonal-cosine"):
+        if family == "ortho-cosine":
             return orthogonal_cosine_spec() if mode is None \
                 else orthogonal_cosine_spec(mode=mode)
         kernels = {
@@ -222,7 +222,7 @@ class FilterContext:
         return self._z
 
 
-def make_context(m, partition, mode="poly", degrees=None, dense_cap=None):
+def make_context(m, partition, mode="poly", degrees=None):
     """Build a FilterContext for Q = block-diagonal of M under the partition.
 
     Raises NotPositiveDefinite when Q is not positive definite.  Poly mode
@@ -232,9 +232,7 @@ def make_context(m, partition, mode="poly", degrees=None, dense_cap=None):
     """
     ctx = FilterContext(m, partition, mode, degree_scale=degrees)
     if mode == "dense":
-        kwargs = {} if dense_cap is None else {"dense_cap": dense_cap}
-        ctx.basis = mq_eigendecompose(ctx.m, ctx.q, partition=partition,
-                                      **kwargs)
+        ctx.basis = mq_eigendecompose(ctx.m, ctx.q, partition=partition)
     elif mode == "poly":
         check_positive_definite(extract_principal_block(ctx.m, partition.a_idx))
         ctx.lifting = LiftingStep(ctx.m, partition)

@@ -1,8 +1,8 @@
 """Graph and variation-operator construction from point clouds.
 
 Covers PLY ingestion, symmetric KNN graphs with inverse-distance weights,
-combinatorial and normalized Laplacians, random bipartitions, and the
-bipartized baseline graph (cross edges only).
+combinatorial and normalized Laplacians, random bipartitions (repaired to
+meet every connected component) and the bipartized baseline (cross edges).
 """
 
 from __future__ import annotations
@@ -224,7 +224,8 @@ def knn_graph(pc, k):
 
     An edge (i, j) exists when i is among the k nearest neighbors of j or
     vice versa; w_ij = 1/dist with distances floored at 1e-9 of the
-    bounding-box diagonal so duplicate points stay finite.
+    bounding-box diagonal (1 when all points coincide) so duplicate points
+    stay finite.
 
     The points are queried in the KD-tree's own leaf order (consecutive
     queries walk the same nodes), split over every core.  A point's
@@ -250,14 +251,14 @@ def knn_graph(pc, k):
     keep = ~drop
     rows = np.repeat(order, k)
     bbox = pos.max(axis=0) - pos.min(axis=0)
-    floor = 1e-9 * max(float(np.linalg.norm(bbox)), np.finfo(float).tiny)
+    floor = 1e-9 * (float(np.linalg.norm(bbox)) or 1.0)
     w = 1.0 / np.maximum(dist[keep], floor)  # finite and > 0
     adj = sp.coo_array((w, (rows, idx[keep])), shape=(n, n)).tocsr()
     adj = adj.maximum(adj.T)  # symmetric union; equal weights either way
     # on a symmetric graph the strong components are the components, and
     # the strong search needs no transpose
-    n_comp = sp.csgraph.connected_components(adj, connection="strong")[0]
-    return Graph(adj, meta={"k": k, "components": n_comp})
+    n_comp, labels = sp.csgraph.connected_components(adj, connection="strong")
+    return Graph(adj, meta={"k": k, "components": n_comp, "labels": labels})
 
 
 def _diagonal_plus(diag, off, w):
@@ -307,6 +308,21 @@ def random_partition(n, seed):
         f = np.where(rng.random(n) < 0.5, 1, -1).astype(np.int8)
         if np.any(f == 1) and np.any(f == -1):
             return Partition(f)
+
+
+def meet_every_component(p, labels):
+    """Move the lowest-index vertex of each component (of 2+ vertices, by
+    ``labels``) that lies wholly on one side across, so that a Laplacian's
+    M_AA and M_BB are positive definite; ``p`` itself when none does."""
+    size = np.bincount(labels)
+    on_a = np.bincount(labels, weights=p.f == 1, minlength=size.size)
+    flip = (size > 1) & ((on_a == 0) | (on_a == size))
+    if not flip.any():
+        return p
+    first = np.unique(labels, return_index=True)[1]
+    f = p.f.copy()
+    f[first[flip]] *= -1
+    return Partition(f)
 
 
 def bipartize(g, p):

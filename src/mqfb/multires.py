@@ -70,8 +70,7 @@ def _level_context(adjacency, partition, meta):
     return fb.make_context(m, partition, mode=meta["mode"], degrees=g.degrees)
 
 
-def decompose(pc, spec, k, levels, seed, operator="comb", baseline=False,
-              mode=None):
+def decompose(pc, spec, k, levels, seed, operator="comb", baseline=False):
     """Run the iterated analysis filter-bank on the attribute channels."""
     if levels < 1:
         raise ValueError("levels must be >= 1")
@@ -79,8 +78,6 @@ def decompose(pc, spec, k, levels, seed, operator="comb", baseline=False,
         raise ValueError("point cloud has no attribute channels")
     zero_dc = isinstance(spec, fb.ZeroDcSpec)
     base_spec = spec.base if zero_dc else spec
-    if mode is None:
-        mode = base_spec.mode
     if baseline and operator != "norm":
         operator = "norm"  # BFB semantics: normalized Laplacian, Q = I
     meta = {
@@ -91,7 +88,7 @@ def decompose(pc, spec, k, levels, seed, operator="comb", baseline=False,
         "seed": seed,
         "operator": operator,
         "baseline": bool(baseline),
-        "mode": mode,
+        "mode": base_spec.mode,
         "spec": base_spec.to_json(),
         "zero_dc": zero_dc,
         "family": base_spec.family,
@@ -108,21 +105,13 @@ def decompose(pc, spec, k, levels, seed, operator="comb", baseline=False,
             meta["stopped_early_at"] = ell
             break
         g_full = gb.knn_graph(gb.PointCloud(pos, np.empty((n, 0))), k)
-        # a partition that strands a whole connected component on one side
-        # makes Q singular; resample a bounded number of times
-        candidates = [seeds[ell]] + seeds[ell].spawn(19)
-        for cand in candidates:
-            p = gb.random_partition(n, cand)
-            g = gb.bipartize(g_full, p) if baseline else g_full
-            try:
-                ctx = _level_context(g.adjacency, p, meta)
-            except NotPositiveDefinite:
-                continue
-            break
-        else:
-            raise NotPositiveDefinite(
-                f"no usable partition at level {ell} after 20 attempts"
-            )
+        p = gb.meet_every_component(gb.random_partition(n, seeds[ell]),
+                                    g_full.meta["labels"])
+        g = gb.bipartize(g_full, p) if baseline else g_full
+        try:
+            ctx = _level_context(g.adjacency, p, meta)
+        except NotPositiveDefinite as e:
+            raise NotPositiveDefinite(f"level {ell}: {e}") from e
         coeffs = fb.analyze(spec, ctx, x)
         records.append(LevelRecord(partition=p, adjacency=g.adjacency,
                                    details=np.atleast_2d(coeffs.d)))
@@ -343,6 +332,13 @@ def _read_meta(path):
         )
     if not isinstance(meta.get("arrays"), dict):
         raise CorruptTree(f"{fname}: no array list")
+    for key in ("spec", "operator", "baseline", "mode", "n"):
+        if key not in meta:
+            raise CorruptTree(f"{fname}: no {key!r} key")
+    try:
+        _spec_from_meta(meta)
+    except (KeyError, TypeError, AttributeError, ValueError) as e:
+        raise CorruptTree(f"{fname}: unreadable 'spec' key ({e!r})") from e
     return meta
 
 

@@ -5,13 +5,16 @@ import shutil
 import numpy as np
 import pytest
 
+from mqfb import filterbank as fb
 from mqfb.cli import (
     EXIT_CHECK_FAILED,
     EXIT_IO,
+    EXIT_NUMERICAL,
     EXIT_OK,
     main,
 )
 from mqfb.multires import load_tree
+from mqfb.sparse_core import NotPositiveDefinite
 
 
 def test_verify_small_battery(tmp_path):
@@ -100,6 +103,24 @@ def test_ply_input(tmp_path):
     assert code == EXIT_OK
 
 
+def test_decompose_names_the_failing_level(tmp_path, capsys, monkeypatch):
+    make_context = fb.make_context
+    calls = []
+
+    def fail_at_level_1(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise NotPositiveDefinite("vanishing pivot")
+        return make_context(*args, **kwargs)
+
+    monkeypatch.setattr(fb, "make_context", fail_at_level_1)
+    code = main(["decompose", "--synthetic", "600", "--k", "4", "--levels",
+                 "3", "--out", str(tmp_path / "t")])
+    assert code == EXIT_NUMERICAL
+    assert "level 1: vanishing pivot" in capsys.readouterr().err
+    assert not (tmp_path / "t").exists()
+
+
 def test_decompose_rejects_tol(tmp_path):
     # the direct solver has no tolerance, so decompose offers no --tol
     with pytest.raises(SystemExit) as exc:
@@ -184,3 +205,20 @@ def test_reconstruct_unknown_format_version(saved_tree, tmp_path, capsys,
     code, err = _reconstruct(tree_dir, tmp_path, capsys)
     assert code == EXIT_CHECK_FAILED
     assert str(meta_path) in err and "mqfb decompose" in err
+
+
+@pytest.mark.parametrize("key", ["spec", "operator", "baseline", "mode", "n",
+                                 "kernels"])
+def test_reconstruct_incomplete_meta(saved_tree, tmp_path, capsys, key):
+    tree_dir = _copy_tree(saved_tree, tmp_path)
+    meta_path = tree_dir / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    if key == "kernels":
+        # a family this version does not know, without its kernels
+        meta["spec"] = json.dumps({"family": "unknown", "mode": "poly"})
+    else:
+        del meta[key]
+    meta_path.write_text(json.dumps(meta))
+    code, err = _reconstruct(tree_dir, tmp_path, capsys)
+    assert code == EXIT_IO
+    assert str(meta_path) in err and repr(key) in err

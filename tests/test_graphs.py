@@ -11,6 +11,7 @@ from mqfb.graphs import (
     combinatorial_laplacian,
     knn_graph,
     load_ply,
+    meet_every_component,
     normalized_laplacian,
     random_partition,
     save_ply,
@@ -139,6 +140,21 @@ class TestKnnGraph:
         g = knn_graph(PointCloud(pos, np.empty((4, 0))), k=1)
         assert np.all(np.isfinite(g.adjacency.data))
 
+    def test_all_points_coincide(self):
+        # no bounding box to scale the distance floor by
+        g = knn_graph(PointCloud(np.ones((6, 3)), np.empty((6, 0))), k=2)
+        assert np.all(np.isfinite(g.adjacency.data))
+        assert np.all(g.adjacency.data > 0)
+
+    def test_component_labels_kept(self):
+        pos = np.vstack([np.zeros((3, 3)), np.full((4, 3), 10.0)])
+        pos += np.random.default_rng(3).normal(0, 0.1, pos.shape)
+        g = knn_graph(PointCloud(pos, np.empty((7, 0))), k=2)
+        assert g.meta["components"] == 2
+        labels = g.meta["labels"]
+        assert len(set(labels[:3])) == len(set(labels[3:])) == 1
+        assert labels[0] != labels[3]
+
     def test_k_too_large(self):
         pc = PointCloud(np.random.default_rng(0).standard_normal((3, 3)),
                         np.empty((3, 0)))
@@ -224,6 +240,33 @@ class TestRandomPartition:
             Partition([1, 1, 1])
         with pytest.raises(ValueError):
             Partition([1, 0, -1])
+
+
+class TestMeetEveryComponent:
+    # components {0, 1, 2}, {3, 4}, {5, 6, 7} and the single vertex {8}
+    labels = np.array([0, 0, 0, 1, 1, 2, 2, 2, 3])
+
+    def test_draw_meeting_every_component_unchanged(self):
+        p = Partition([1, -1, 1, -1, 1, 1, 1, -1, 1])
+        assert meet_every_component(p, self.labels) is p
+
+    def test_lowest_index_vertex_moves_across(self):
+        p = Partition([1, 1, 1, -1, -1, -1, 1, -1, -1])
+        got = meet_every_component(p, self.labels)
+        np.testing.assert_array_equal(got.f, [-1, 1, 1, 1, -1, -1, 1, -1, -1])
+
+    def test_single_vertex_component_left_as_drawn(self):
+        for side in (1, -1):
+            p = Partition([1, -1, 1, -1, 1, 1, -1, 1, side])
+            assert meet_every_component(p, self.labels) is p
+
+    def test_every_component_meets_both_sides(self):
+        rng = np.random.default_rng(5)
+        labels = rng.permutation(np.repeat(np.arange(40), 5))
+        for seed in range(20):
+            f = meet_every_component(random_partition(200, seed), labels).f
+            for c in np.unique(labels):
+                assert set(f[labels == c]) == {1, -1}
 
 
 class TestBipartize:

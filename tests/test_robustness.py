@@ -1,0 +1,166 @@
+"""Clouds that real scans produce go through the pipeline.
+
+Separated clusters (many connected components), repeated and coincident
+points, collinear and coplanar clouds, tiny clouds and n = k + 1 all
+round-trip through decompose -> reconstruct in the lazy, bipartite-baseline
+and orthogonal-cosine (dense) arms: each level's partition meets every
+connected component, so Q > 0 by construction.  The property tests are
+derandomized, so every run draws the same examples.
+"""
+
+import numpy as np
+import pytest
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mqfb import filterbank as fb
+from mqfb import graphs as gb
+from mqfb.cli import EXIT_OK, main
+from mqfb.gft import DENSE_CAP_DEFAULT
+from mqfb.multires import decompose, reconstruct
+from mqfb.synthetic import gaussian_blob_cloud
+
+ARMS = {
+    "lazy": (fb.lazy_spec(), False),
+    "baseline": (fb.lazy_spec(), True),
+    "ortho-cosine": (fb.orthogonal_cosine_spec(), False),
+}
+
+
+def separated_clusters(rng, clusters, size):
+    """``clusters`` tight blobs of ``size`` points, 100 apart or more."""
+    centers = 100.0 * np.arange(clusters)[:, None] * rng.uniform(1, 2, 3)
+    jitter = rng.normal(0, 0.01, (clusters, size, 3))
+    return (centers[:, None, :] + jitter).reshape(-1, 3)
+
+
+@st.composite
+def clouds(draw):
+    """(shape name, positions, k) for one of the awkward cloud shapes."""
+    shape = draw(st.sampled_from(["clusters", "repeated", "coincident",
+                                  "collinear", "coplanar", "tiny",
+                                  "k_plus_1"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, 8))
+    if shape == "clusters":
+        pos = separated_clusters(rng, draw(st.integers(2, 40)),
+                                 draw(st.integers(2, 8)))
+    elif shape == "repeated":
+        base = rng.uniform(0, 1, (draw(st.integers(2, 150)), 3))
+        pos = np.repeat(base, draw(st.sampled_from([2, 3])), axis=0)
+    elif shape == "coincident":
+        pos = np.tile(rng.uniform(-5, 5, 3), (draw(st.integers(2, 60)), 1))
+    elif shape == "collinear":
+        t = rng.uniform(0, 10, draw(st.integers(2, 300)))
+        pos = t[:, None] * rng.normal(size=3) + rng.normal(size=3)
+    elif shape == "coplanar":
+        uv = rng.uniform(0, 10, (draw(st.integers(2, 300)), 2))
+        pos = uv @ rng.normal(size=(2, 3)) + rng.normal(size=3)
+    elif shape == "tiny":
+        pos = rng.uniform(0, 1, (draw(st.integers(2, 6)), 3))
+    else:
+        pos = rng.uniform(0, 1, (k + 1, 3))
+    return shape, pos, k
+
+
+@pytest.mark.parametrize("arm", list(ARMS))
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(case=clouds())
+def test_awkward_clouds_round_trip(arm, case):
+    shape, pos, k = case
+    n = pos.shape[0]
+    spec, baseline = ARMS[arm]
+    assert n <= DENSE_CAP_DEFAULT  # the dense arm's limit
+    x = np.random.default_rng(n).uniform(0, 255, (n, 3))
+    tree = decompose(gb.PointCloud(pos, x), spec, k=k, levels=4, seed=n,
+                     baseline=baseline)
+    assert tree.coefficient_count == n
+    rec = reconstruct(tree)
+    rel = np.linalg.norm(rec - x) / np.linalg.norm(x)
+    assert rel <= 1e-8, (shape, n, k, rel)
+
+
+@pytest.mark.parametrize("cloud, arm", [
+    ("300_clusters_of_6", "lazy"),
+    ("300_clusters_of_6", "baseline"),
+    ("300_clusters_of_6", "ortho-cosine"),
+    ("2000_points_x3", "lazy"),
+    ("2000_points_x3", "baseline"),  # 6000 points: past the dense cap
+])
+def test_component_heavy_clouds_round_trip(cloud, arm):
+    # each failed at level 0 in the (M, Q) arms while decompose redrew
+    # a random bipartition up to 20 times
+    rng = np.random.default_rng(0)
+    if cloud == "300_clusters_of_6":
+        pos = separated_clusters(rng, 300, 6)
+    else:
+        pos = np.repeat(rng.uniform(0, 1, (2000, 3)), 3, axis=0)
+    n = pos.shape[0]
+    g = gb.knn_graph(gb.PointCloud(pos, np.empty((n, 0))), 5)
+    assert g.meta["components"] >= 300
+    spec, baseline = ARMS[arm]
+    x = rng.uniform(0, 255, (n, 3))
+    tree = decompose(gb.PointCloud(pos, x), spec, k=5,
+                     levels=3 if arm == "ortho-cosine" else 7, seed=0,
+                     baseline=baseline)
+    rec = reconstruct(tree)
+    assert np.linalg.norm(rec - x) / np.linalg.norm(x) <= 1e-8
+
+
+def test_one_partition_per_level(monkeypatch):
+    rng = np.random.default_rng(0)
+    pc = gb.PointCloud(separated_clusters(rng, 300, 6),
+                       rng.uniform(0, 255, (1800, 3)))
+    draws = []
+    random_partition = gb.random_partition
+
+    def counted(n, seed):
+        draws.append(n)
+        return random_partition(n, seed)
+
+    monkeypatch.setattr(gb, "random_partition", counted)
+    tree = decompose(pc, fb.lazy_spec(), k=5, levels=5, seed=0)
+    assert draws == [lv.partition.n for lv in tree.levels]
+    assert len(draws) == 5
+
+
+def test_clustered_ply_round_trip(tmp_path):
+    rng = np.random.default_rng(2)
+    ply = tmp_path / "clusters.ply"
+    gb.save_ply(ply, gb.PointCloud(separated_clusters(rng, 300, 6),
+                                   rng.uniform(0, 255, (1800, 3))))
+    tree_dir = tmp_path / "t"
+    assert main(["decompose", "--input", str(ply), "--k", "5", "--levels",
+                 "5", "--out", str(tree_dir)]) == EXIT_OK
+    out = tmp_path / "rec.bin"
+    assert main(["reconstruct", "--input", str(tree_dir),
+                 "--out", str(out)]) == EXIT_OK
+    want = gb.load_ply(ply).attributes
+    rec = np.fromfile(out, dtype="<f8").reshape(want.shape)
+    assert np.linalg.norm(rec - want) / np.linalg.norm(want) <= 1e-8
+
+
+def test_folding_past_the_dense_cap():
+    """Extreme pairs of the level-0 (M, Q) pencil of a 20k cloud fold.
+
+    M u = lam Q u implies M (J u) = (2 - lam) Q (J u) with J = diag(f).
+    The pairs come from a matrix-free eigsh that solves with Q by blocks.
+    """
+    pc = gaussian_blob_cloud(20_000, seed=0)
+    tree = decompose(pc, fb.lazy_spec(), k=5, levels=1, seed=0)
+    lv = tree.levels[0]
+    m = gb.combinatorial_laplacian(gb.Graph(lv.adjacency))
+    ctx = fb.make_context(m, lv.partition, mode="poly")
+    solver = ctx.z.q_solver
+    n = m.shape[0]
+    assert n > DENSE_CAP_DEFAULT
+    minv = spla.LinearOperator((n, n), matvec=solver.solve, dtype=np.float64)
+    lam, u = spla.eigsh(m, k=4, M=ctx.q, Minv=minv, which="LA")
+    assert np.all(lam > 1.0) and np.all(lam <= 2.0 + 1e-8)
+    f = lv.partition.f.astype(np.float64)
+    for j in range(lam.size):
+        v = f * u[:, j]
+        qv = ctx.q @ v
+        rel = np.linalg.norm(m @ v - (2.0 - lam[j]) * qv) / np.linalg.norm(qv)
+        assert rel <= 1e-10, (lam[j], rel)
