@@ -10,6 +10,7 @@ checkers for perfect reconstruction, Q-orthogonality and frame bounds.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass
 
@@ -200,7 +201,7 @@ class FilterContext:
 
     @property
     def n(self):
-        return self.m.shape[0]
+        return self.partition.n
 
     @property
     def q(self):
@@ -239,6 +240,22 @@ def make_context(m, partition, mode="poly", degrees=None):
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return ctx
+
+
+def synthesis_context(spec, ctx):
+    """``ctx`` with only what ``synthesize(spec, ...)`` reads.
+
+    The lazy bank synthesizes through the lifting step, which holds its own
+    blocks of M, so its copy drops M (about half of what a poly context
+    holds); any other spec gets ``ctx`` itself.  For contexts kept alive
+    only to synthesize, such as the PSNR sweep's.
+    """
+    spec = spec.base if isinstance(spec, ZeroDcSpec) else spec
+    if not _lifts(spec, ctx):
+        return ctx
+    slim = copy.copy(ctx)
+    slim.m = None
+    return slim
 
 
 def apply_kernel(ctx, kernel, x):

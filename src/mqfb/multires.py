@@ -22,6 +22,7 @@ import scipy.sparse as sp
 
 from . import filterbank as fb
 from . import graphs as gb
+from .gft import DenseCapExceeded
 # the Matrix Market helpers are no longer called here; perfbench's tracer
 # still wraps them under these names
 from .sparse_core import (  # noqa: F401
@@ -61,13 +62,18 @@ def _spec_from_meta(meta):
     return spec
 
 
-def _level_context(adjacency, partition, meta):
+def _level_context(ell, adjacency, partition, meta):
+    """Level ell's FilterContext; a failure to build it names the level."""
     g = gb.Graph(adjacency)
     if meta["operator"] == "norm":
         m = gb.normalized_laplacian(g, allow_isolated=meta["baseline"])
     else:
         m = gb.combinatorial_laplacian(g)
-    return fb.make_context(m, partition, mode=meta["mode"], degrees=g.degrees)
+    try:
+        return fb.make_context(m, partition, mode=meta["mode"],
+                               degrees=g.degrees)
+    except (NotPositiveDefinite, DenseCapExceeded) as e:
+        raise type(e)(f"level {ell}: {e}") from e
 
 
 def decompose(pc, spec, k, levels, seed, operator="comb", baseline=False):
@@ -108,10 +114,7 @@ def decompose(pc, spec, k, levels, seed, operator="comb", baseline=False):
         p = gb.meet_every_component(gb.random_partition(n, seeds[ell]),
                                     g_full.meta["labels"])
         g = gb.bipartize(g_full, p) if baseline else g_full
-        try:
-            ctx = _level_context(g.adjacency, p, meta)
-        except NotPositiveDefinite as e:
-            raise NotPositiveDefinite(f"level {ell}: {e}") from e
+        ctx = _level_context(ell, g.adjacency, p, meta)
         coeffs = fb.analyze(spec, ctx, x)
         records.append(LevelRecord(partition=p, adjacency=g.adjacency,
                                    details=np.atleast_2d(coeffs.d)))
@@ -124,7 +127,7 @@ def decompose(pc, spec, k, levels, seed, operator="comb", baseline=False):
     return DecompositionTree(levels=records, root=np.atleast_2d(x), meta=meta)
 
 
-def _synthesize_up(tree, drops):
+def _synthesize_up(tree, drops, contexts=None):
     """reconstruct(tree, drop_finest=j) for every j in drops, in one pass.
 
     Each level's context is built once.  Variant j zeroes the details of
@@ -132,6 +135,10 @@ def _synthesize_up(tree, drops):
     reconstruction and shares one stream; a variant gets its own synthesis
     from the level where its details are first zeroed.  Every synthesis sees
     the same inputs as a single-variant pass, so results are bit-identical.
+    ``contexts`` is an optional dict from level to context.  A level it
+    holds is taken out of it and used; a level it lacks is built and put
+    in, cut to what synthesis reads.  Without it, each context is freed
+    once its level is done.
     """
     meta = tree.meta
     spec = _spec_from_meta(meta)
@@ -140,7 +147,11 @@ def _synthesize_up(tree, drops):
     split = {}  # j -> its own stream, once its details have been zeroed
     for i in reversed(range(len(tree.levels))):
         lv = tree.levels[i]
-        ctx = _level_context(lv.adjacency, lv.partition, meta)
+        ctx = None if contexts is None else contexts.pop(i, None)
+        if ctx is None:
+            ctx = _level_context(i, lv.adjacency, lv.partition, meta)
+            if contexts is not None:
+                contexts[i] = fb.synthesis_context(spec, ctx)
         scale = (np.sqrt(ctx.degree_scale[lv.partition.a_idx])
                  if meta.get("zero_dc") else None)
 
@@ -176,10 +187,14 @@ class _SweepMemo:
     partition and adjacency objects (compared by identity).  So edits of
     the meta or the coefficients, in place or not, and replaced level,
     partition or adjacency objects are seen and the memo is dropped.
+    ``contexts`` keeps the level contexts the first keep's pass built for
+    the pass that completes the sweep, which takes each one out as it uses
+    it; they go with the memo when the memo is dropped.
     """
 
     def __init__(self, tree):
         self.outputs = {}
+        self.contexts = {}
         self.meta = copy.deepcopy(tree.meta)
         self.levels = [(lv, lv.partition, lv.adjacency) for lv in tree.levels]
         self.root = np.array(tree.root)
@@ -197,12 +212,14 @@ class _SweepMemo:
         )
 
     def get(self, tree, j):
-        # the first keep asked of a tree costs one reconstruct; the next new
-        # one computes every keep still missing in one shared pass
+        # the first keep asked of a tree costs one reconstruct and keeps its
+        # contexts; the next new one computes every keep still missing in one
+        # shared pass from them
         if j not in self.outputs:
             drops = [j] if not self.outputs else [
                 i for i in range(len(tree.levels) + 1) if i not in self.outputs]
-            self.outputs.update(zip(drops, _synthesize_up(tree, drops)))
+            self.outputs.update(
+                zip(drops, _synthesize_up(tree, drops, self.contexts)))
         return self.outputs[j]
 
 
@@ -233,9 +250,11 @@ def linear_approximation(tree, keep, original, peak=255.0):
     keep is a nominal fraction from {2^-L, ..., 1/2, 1}: the j finest
     detail levels are zeroed where keep = 2^-j.  The realized m/n comes
     from actual partition sizes.  The first call on a tree costs one
-    reconstruct; the first call for another keep computes every remaining
-    keep of the sweep in one upward pass.  Results are memoized on the tree
-    and reused while its levels and coefficients are unchanged.
+    reconstruct and keeps its level contexts; the first call for another
+    keep computes every remaining keep of the sweep in one upward pass from
+    those contexts, building none, and then lets them go.  Results are
+    memoized on the tree and reused while its levels and coefficients are
+    unchanged; a change drops the results and the contexts together.
     """
     if not (0 < keep <= 1):
         raise ValueError("keep must be in (0, 1]")

@@ -4,8 +4,10 @@ import shutil
 
 import numpy as np
 import pytest
+import scipy.sparse.csgraph as csgraph
 
 from mqfb import filterbank as fb
+from mqfb import graphs as gb
 from mqfb.cli import (
     EXIT_CHECK_FAILED,
     EXIT_IO,
@@ -13,7 +15,7 @@ from mqfb.cli import (
     EXIT_OK,
     main,
 )
-from mqfb.multires import load_tree
+from mqfb.multires import decompose, linear_approximation, load_tree, save_tree
 from mqfb.sparse_core import NotPositiveDefinite
 
 
@@ -119,6 +121,41 @@ def test_decompose_names_the_failing_level(tmp_path, capsys, monkeypatch):
     assert code == EXIT_NUMERICAL
     assert "level 1: vanishing pivot" in capsys.readouterr().err
     assert not (tmp_path / "t").exists()
+
+
+def test_decompose_names_the_level_past_the_dense_cap(tmp_path, capsys):
+    code = main(["decompose", "--synthetic", "6000", "--family",
+                 "ortho-cosine", "--levels", "2", "--out", str(tmp_path / "t")])
+    assert code == EXIT_CHECK_FAILED
+    assert "level 0: n=6000 exceeds dense cap 4096" in capsys.readouterr().err
+
+
+def test_reconstruct_names_the_failing_level(tmp_path, capsys):
+    # four separated clusters, so level 1 has several components
+    rng = np.random.default_rng(0)
+    pos = (100.0 * np.arange(4)[:, None, None]
+           + rng.normal(0, 1, (4, 60, 3))).reshape(-1, 3)
+    colors = rng.uniform(0, 255, (240, 3))
+    tree = decompose(gb.PointCloud(pos, colors), fb.lazy_spec(), k=4,
+                     levels=2, seed=0)
+    # move one whole component to side B, and as many B vertices of other
+    # components to side A, so both sides keep their sizes
+    lv = tree.levels[1]
+    _, labels = csgraph.connected_components(lv.adjacency, directed=False)
+    f = lv.partition.f.copy()
+    on_a = np.flatnonzero((labels == labels[0]) & (f == 1))
+    elsewhere_b = np.flatnonzero((labels != labels[0]) & (f == -1))
+    f[on_a] = -1
+    f[elsewhere_b[:on_a.size]] = 1
+    lv.partition = gb.Partition(f)
+    save_tree(tree, tmp_path / "t")
+    with pytest.raises(NotPositiveDefinite, match="^level 1: "):
+        linear_approximation(load_tree(tmp_path / "t"), 0.5, colors)
+    capsys.readouterr()
+    code = main(["reconstruct", "--input", str(tmp_path / "t"),
+                 "--out", str(tmp_path / "rec.bin")])
+    assert code == EXIT_NUMERICAL
+    assert "numerical failure: level 1: " in capsys.readouterr().err
 
 
 def test_decompose_rejects_tol(tmp_path):

@@ -203,7 +203,7 @@ class TestLinearApproximation:
                 np.testing.assert_array_equal(res.attributes,
                                               reconstruct(tree, drop_finest=j))
 
-    def test_sweep_costs_two_passes(self, monkeypatch):
+    def test_sweep_builds_each_context_once(self, monkeypatch):
         pc = small_cloud()
         tree = decompose(pc, fb.lazy_spec(), k=4, levels=3, seed=18)
         calls = {"make_context": 0, "synthesize": 0}
@@ -216,10 +216,46 @@ class TestLinearApproximation:
         linear_approximation(tree, 0.25, pc.attributes)
         # one keep costs what reconstruct costs
         assert calls == {"make_context": levels, "synthesize": levels}
+        assert sorted(tree._sweep.contexts) == list(range(levels))
+        # kept for synthesis only: the lifting step, not the level's M
+        assert all(ctx.m is None and ctx.lifting is not None
+                   for ctx in tree._sweep.contexts.values())
         for j in range(levels + 1):
             linear_approximation(tree, 2.0**-j, pc.attributes)
-        # every other keep comes from one more pass
-        assert calls["make_context"] == 2 * levels
+        # every other keep comes from one more pass on the same contexts,
+        # which the memo then lets go
+        assert calls["make_context"] == levels
+        assert tree._sweep.contexts == {}
+
+    @pytest.mark.parametrize("spec", [
+        fb.lazy_spec(), fb.orthogonal_cosine_spec(),
+        fb.zero_dc_wrap(fb.lazy_spec())], ids=["lazy", "ortho", "zero-dc"])
+    @pytest.mark.parametrize("replace", ["adjacency", "partition"])
+    def test_sweep_never_uses_a_stale_context(self, spec, replace):
+        pc = small_cloud()
+        tree = decompose(pc, spec, k=4, levels=3, seed=19)
+        before = [reconstruct(tree, drop_finest=j)
+                  for j in range(len(tree.levels) + 1)]
+        linear_approximation(tree, 0.5, pc.attributes)
+        memo = tree._sweep
+        assert memo.contexts
+        lv = tree.levels[0]
+        if replace == "adjacency":
+            # squared weights change every filter, lazy included (a uniform
+            # scale of M would leave its prediction step unchanged)
+            lv.adjacency = lv.adjacency.power(2)
+        else:
+            # swap one vertex across, keeping both side sizes
+            f = lv.partition.f.copy()
+            f[[lv.partition.a_idx[0], lv.partition.b_idx[0]]] *= -1
+            lv.partition = gb.Partition(f)
+        for j in range(len(tree.levels) + 1):
+            res = linear_approximation(tree, 2.0**-j, pc.attributes)
+            assert tree._sweep is not memo
+            expected = reconstruct(tree, drop_finest=j)
+            np.testing.assert_array_equal(res.attributes, expected)
+            assert not np.array_equal(expected, before[j])
+        assert tree._sweep.contexts == {}
 
     def test_coarser_keep_not_better(self):
         pc = gaussian_blob_cloud(2000, seed=14)
