@@ -240,8 +240,8 @@ def dense_spectral_filter(basis, kernel, x):
 class FundamentalOperator:
     """Action of Z = Q^{-1} M: one sparse mat-vec plus one SPD solve.
 
-    ``q_solver`` is anything with ``n`` and ``solve`` for Q: an SpdSolver,
-    or a BlockDiagonalSolver that never forms Q.
+    ``q_solver`` is anything with ``n`` and ``solve`` for Q, such as an
+    SpdSolver.
     """
 
     def __init__(self, m, q_solver):

@@ -111,32 +111,6 @@ class SpdSolver:
         return self._lu.solve(y)
 
 
-class BlockDiagonalSolver:
-    """Solver for S z = y with S block-diagonal under a bipartition.
-
-    Each side is solved by its own solver (anything with ``n`` and
-    ``solve``), so the n x n S is never assembled or factored.
-    """
-
-    def __init__(self, partition, solver_a, solver_b):
-        self.a_idx = partition.a_idx
-        self.b_idx = partition.b_idx
-        if (solver_a.n, solver_b.n) != (self.a_idx.size, self.b_idx.size):
-            raise ValueError("block solver sizes do not match the partition")
-        self.solver_a = solver_a
-        self.solver_b = solver_b
-        self.n = partition.n
-
-    def solve(self, y):
-        y = np.asarray(y, dtype=np.float64)
-        if y.shape[0] != self.n:
-            raise ValueError(f"rhs has dim {y.shape[0]}, expected {self.n}")
-        z = np.empty_like(y)
-        z[self.a_idx] = self.solver_a.solve(y[self.a_idx])
-        z[self.b_idx] = self.solver_b.solve(y[self.b_idx])
-        return z
-
-
 def check_positive_definite(matrix):
     """Raise NotPositiveDefinite unless the symmetric ``matrix`` is PD.
 

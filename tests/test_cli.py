@@ -125,7 +125,8 @@ def test_decompose_names_the_failing_level(tmp_path, capsys, monkeypatch):
 
 def test_decompose_names_the_level_past_the_dense_cap(tmp_path, capsys):
     code = main(["decompose", "--synthetic", "6000", "--family",
-                 "ortho-cosine", "--levels", "2", "--out", str(tmp_path / "t")])
+                 "ortho-cosine", "--mode", "dense", "--levels", "2",
+                 "--out", str(tmp_path / "t")])
     assert code == EXIT_CHECK_FAILED
     assert "level 0: n=6000 exceeds dense cap 4096" in capsys.readouterr().err
 
@@ -167,13 +168,30 @@ def test_decompose_rejects_tol(tmp_path):
     assert not (tmp_path / "t").exists()
 
 
-def test_decompose_mode_honoured_for_ortho(tmp_path, capsys):
-    code = main(["decompose", "--synthetic", "300", "--k", "4",
-                 "--levels", "1", "--family", "ortho-cosine",
-                 "--mode", "poly", "--out", str(tmp_path / "t")])
-    assert code == EXIT_CHECK_FAILED
-    assert "no polynomial implementation" in capsys.readouterr().err
-    assert not (tmp_path / "t").exists()
+def test_decompose_mode_honoured_for_ortho(tmp_path):
+    for mode in ("poly", "dense"):
+        code = main(["decompose", "--synthetic", "300", "--k", "4",
+                     "--levels", "1", "--family", "ortho-cosine",
+                     "--mode", mode, "--out", str(tmp_path / mode)])
+        assert code == EXIT_OK
+        meta = json.loads((tmp_path / mode / "meta.json").read_text())
+        assert meta["mode"] == mode
+        assert json.loads(meta["spec"])["mode"] == mode
+
+
+def test_ortho_decompose_past_the_dense_cap_roundtrips(tmp_path):
+    # poly mode, the default for ortho-cosine, has no dense cap
+    tree_dir = tmp_path / "t"
+    assert main(["decompose", "--synthetic", "6000", "--family",
+                 "ortho-cosine", "--levels", "2",
+                 "--out", str(tree_dir)]) == EXIT_OK
+    assert main(["reconstruct", "--input", str(tree_dir),
+                 "--out", str(tmp_path / "rec.bin")]) == EXIT_OK
+    from mqfb.synthetic import gaussian_blob_cloud
+
+    want = gaussian_blob_cloud(6000, seed=0).attributes
+    rec = np.fromfile(tmp_path / "rec.bin", dtype="<f8").reshape(want.shape)
+    assert np.linalg.norm(rec - want) <= 1e-8 * np.linalg.norm(want)
 
 
 @pytest.fixture(scope="module")

@@ -65,7 +65,7 @@ class TestLazySpec:
 
 class TestOrthogonalCosineSpec:
     def test_endpoint_values(self):
-        s = orthogonal_cosine_spec()
+        s = orthogonal_cosine_spec(mode="dense")
         assert s.h0(0.0) == pytest.approx(np.sqrt(2))
         assert s.h1(0.0) == pytest.approx(0.0, abs=1e-15)
         assert s.h0(2.0) == pytest.approx(0.0, abs=1e-15)
@@ -77,9 +77,27 @@ class TestOrthogonalCosineSpec:
         assert s.h1(1.0) == pytest.approx(1.0)
         assert s.h0(1.0) ** 2 + s.h1(1.0) ** 2 == pytest.approx(2.0)
 
-    def test_poly_mode_rejected(self):
-        with pytest.raises(NotPolynomial):
-            orthogonal_cosine_spec(mode="poly")
+    def test_poly_kernels_match_closed_form(self):
+        poly, dense = orthogonal_cosine_spec(), orthogonal_cosine_spec(mode="dense")
+        assert poly.mode == "poly" and poly.h0.cheb is not None
+        lam = np.linspace(0.0, 2.0, 2001)
+        for k in ("h0", "h1", "g0", "g1"):
+            err = np.abs(poly.kernels()[k](lam) - dense.kernels()[k](lam))
+            assert np.max(err) <= 5e-15, k
+
+    def test_poly_matches_dense(self):
+        g = random_connected_graph(200, seed=24)
+        m = combinatorial_laplacian(g)
+        p = random_partition(200, 24)
+        poly, dense = make_context(m, p, mode="poly"), make_context(m, p, mode="dense")
+        x = np.random.default_rng(24).standard_normal((200, 3))
+        cp = analyze(orthogonal_cosine_spec(), poly, x)
+        cd = analyze(orthogonal_cosine_spec(mode="dense"), dense, x)
+        for got, want in ((cp.a, cd.a), (cp.d, cd.d)):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        xp = synthesize(orthogonal_cosine_spec(), poly, cd)
+        xd = synthesize(orthogonal_cosine_spec(mode="dense"), dense, cd)
+        assert np.linalg.norm(xp - xd) <= 1e-12 * np.linalg.norm(xd)
 
 
 class TestAnalyzeSynthesize:
@@ -437,6 +455,13 @@ class TestSpecSerialization:
             np.testing.assert_allclose(
                 back.kernels()[k](lam), spec.kernels()[k](lam)
             )
+
+    def test_custom_chebyshev_roundtrip(self):
+        ortho = orthogonal_cosine_spec()
+        spec = FilterBankSpec(h0=ortho.h0, h1=Kernel(cheb=(0.5, -0.25, 0.125)),
+                              g0=ortho.g0, g1=Kernel(coeffs=(1.0, 2.0)))
+        back = FilterBankSpec.from_json(spec.to_json())
+        assert back == spec
 
     def test_poly_mode_requires_polynomials(self):
         with pytest.raises(NotPolynomial):

@@ -78,7 +78,7 @@ class TestReconstruct:
 
     def test_roundtrip_orthogonal_dense(self):
         pc = small_cloud(300)
-        spec = fb.orthogonal_cosine_spec()
+        spec = fb.orthogonal_cosine_spec(mode="dense")
         tree = decompose(pc, spec, k=4, levels=3, seed=8)
         rec = reconstruct(tree)
         rel = np.linalg.norm(rec - pc.attributes) / np.linalg.norm(pc.attributes)
@@ -91,7 +91,7 @@ class TestReconstruct:
 
         monkeypatch.setattr(FoldedBasis, "u", property(no_u))
         pc = gaussian_blob_cloud(2000, seed=0)
-        spec = fb.orthogonal_cosine_spec()
+        spec = fb.orthogonal_cosine_spec(mode="dense")
         tree = decompose(pc, spec, k=5, levels=3, seed=0)
         rec = reconstruct(tree)
         rel = np.linalg.norm(rec - pc.attributes) / np.linalg.norm(pc.attributes)
@@ -297,6 +297,28 @@ class TestTreeSerialization:
             np.testing.assert_array_equal(a.partition.f, b.partition.f)
         rec = reconstruct(loaded)
         np.testing.assert_array_equal(rec, reconstruct(tree))
+
+    def test_dense_ortho_tree_reconstructs_through_dense_path(
+            self, tmp_path, monkeypatch):
+        # trees written before ortho-cosine defaulted to poly mode say "dense"
+        pc = small_cloud(300)
+        tree = decompose(pc, fb.orthogonal_cosine_spec(mode="dense"), k=4,
+                         levels=2, seed=15)
+        want = reconstruct(tree)
+        save_tree(tree, tmp_path / "tree")
+        loaded = load_tree(tmp_path / "tree")
+        assert loaded.meta["mode"] == "dense"
+        assert json.loads(loaded.meta["spec"])["mode"] == "dense"
+        modes = []
+        make_context = fb.make_context
+
+        def recording(m, partition, mode="poly", **kw):
+            modes.append(mode)
+            return make_context(m, partition, mode=mode, **kw)
+
+        monkeypatch.setattr(fb, "make_context", recording)
+        np.testing.assert_array_equal(reconstruct(loaded), want)
+        assert modes == ["dense", "dense"]
 
     @pytest.mark.parametrize("baseline", [False, True])
     def test_roundtrip_bit_exact_at_20k(self, tmp_path, baseline):

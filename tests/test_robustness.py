@@ -3,9 +3,9 @@
 Separated clusters (many connected components), repeated and coincident
 points, collinear and coplanar clouds, tiny clouds and n = k + 1 all
 round-trip through decompose -> reconstruct in the lazy, bipartite-baseline
-and orthogonal-cosine (dense) arms: each level's partition meets every
-connected component, so Q > 0 by construction.  The property tests are
-derandomized, so every run draws the same examples.
+and orthogonal-cosine (poly, its default mode) arms: each level's partition
+meets every connected component, so Q > 0 by construction.  The property
+tests are derandomized, so every run draws the same examples.
 """
 
 import numpy as np
@@ -141,26 +141,50 @@ def test_clustered_ply_round_trip(tmp_path):
     assert np.linalg.norm(rec - want) / np.linalg.norm(want) <= 1e-8
 
 
-def test_folding_past_the_dense_cap():
+@pytest.fixture(scope="module")
+def level_20k():
+    """(M, partition) of the level-0 KNN graph of a 20k cloud."""
+    pc = gaussian_blob_cloud(20_000, seed=0)
+    lv = decompose(pc, fb.lazy_spec(), k=5, levels=1, seed=0).levels[0]
+    return gb.combinatorial_laplacian(gb.Graph(lv.adjacency)), lv.partition
+
+
+def test_folding_past_the_dense_cap(level_20k):
     """Extreme pairs of the level-0 (M, Q) pencil of a 20k cloud fold.
 
     M u = lam Q u implies M (J u) = (2 - lam) Q (J u) with J = diag(f).
     The pairs come from a matrix-free eigsh that solves with Q by blocks.
     """
-    pc = gaussian_blob_cloud(20_000, seed=0)
-    tree = decompose(pc, fb.lazy_spec(), k=5, levels=1, seed=0)
-    lv = tree.levels[0]
-    m = gb.combinatorial_laplacian(gb.Graph(lv.adjacency))
-    ctx = fb.make_context(m, lv.partition, mode="poly")
-    solver = ctx.z.q_solver
+    m, partition = level_20k
+    ctx = fb.make_context(m, partition, mode="poly")
+    a, b = partition.a_idx, partition.b_idx
+
+    def q_solve(y):
+        z = np.empty_like(y)
+        z[a] = ctx.solver_a.solve(y[a])
+        z[b] = ctx.lifting.solver.solve(y[b])
+        return z
+
     n = m.shape[0]
     assert n > DENSE_CAP_DEFAULT
-    minv = spla.LinearOperator((n, n), matvec=solver.solve, dtype=np.float64)
+    minv = spla.LinearOperator((n, n), matvec=q_solve, dtype=np.float64)
     lam, u = spla.eigsh(m, k=4, M=ctx.q, Minv=minv, which="LA")
     assert np.all(lam > 1.0) and np.all(lam <= 2.0 + 1e-8)
-    f = lv.partition.f.astype(np.float64)
+    f = partition.f.astype(np.float64)
     for j in range(lam.size):
         v = f * u[:, j]
         qv = ctx.q @ v
         rel = np.linalg.norm(m @ v - (2.0 - lam[j]) * qv) / np.linalg.norm(qv)
         assert rel <= 1e-10, (lam[j], rel)
+
+
+def test_q_parseval_past_the_dense_cap(level_20k):
+    """The poly orthogonal bank is Q-orthogonal and PR on a 20k level."""
+    m, partition = level_20k
+    assert m.shape[0] > DENSE_CAP_DEFAULT
+    ctx = fb.make_context(m, partition, mode="poly")
+    spec = fb.orthogonal_cosine_spec()
+    rep = fb.check_q_orthogonality(spec, ctx)
+    assert rep["passed"], rep
+    rep = fb.check_pr(spec, ctx, trials=3)
+    assert rep["passed"] and rep["spectrum"] == "grid", rep
