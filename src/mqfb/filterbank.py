@@ -7,7 +7,8 @@ the sides A and B and its spectrum lies in [-1, 1] by spectral folding:
 poly mode sums a Chebyshev series in S by one three-term recurrence (one
 product with each off-diagonal block of M and one solve with each of M_AA
 and M_BB per degree), with no eigenbasis and no spectral bound.  The lazy
-bank in poly mode runs as a single lifting step that factors only M_BB.
+bank is the degree-1 recurrence, which is the lifting step: one product
+with M_BA and one solve with M_BB, and M_AA is never factored.
 Ships the lazy biorthogonal design and the orthogonal cosine design (poly
 by default, as its degree-12 Chebyshev interpolant; dense mode keeps the
 closed form as the reference), plus checkers for perfect reconstruction,
@@ -16,7 +17,6 @@ Q-orthogonality and frame bounds.
 
 from __future__ import annotations
 
-import copy
 import functools
 import json
 from dataclasses import dataclass
@@ -78,13 +78,18 @@ class Kernel:
     def is_polynomial(self):
         return self.name is None
 
+    @functools.cached_property
     def chebyshev(self):
-        """Coefficients of the kernel as a Chebyshev series in t = lam - 1."""
+        """Coefficients of the kernel as a Chebyshev series in t = lam - 1,
+        derived once per kernel and read-only."""
         if self.cheb is not None:
-            return np.array(self.cheb)
-        lam = np.polynomial.Polynomial([1.0, 1.0])  # lam = 1 + t
-        shifted = np.polynomial.Polynomial(self.coeffs)(lam).coef
-        return np.polynomial.chebyshev.poly2cheb(shifted)
+            c = np.array(self.cheb)
+        else:
+            lam = np.polynomial.Polynomial([1.0, 1.0])  # lam = 1 + t
+            shifted = np.polynomial.Polynomial(self.coeffs)(lam).coef
+            c = np.polynomial.chebyshev.poly2cheb(shifted)
+        c.setflags(write=False)
+        return c
 
     def __call__(self, lam):
         lam = np.asarray(lam, dtype=np.float64)
@@ -200,25 +205,6 @@ class ChannelCoefficients:
     d: np.ndarray
 
 
-class LiftingStep:
-    """The lazy bank as one predict step of the lifting scheme.
-
-    Q is block-diagonal, so (Z x)_B = x_B + P x_A with P = M_BB^{-1} M_BA.
-    Lazy analysis (H0 = I, H1 = Z) is then a = x_A, d = x_B + P x_A, and
-    synthesis (G0 = 2I - Z, G1 = I) is x_A = a, x_B = d - P a: one sparse
-    mat-vec and one |B|-sized SPD solve per step.  Only M_BB is factored.
-    """
-
-    def __init__(self, m, partition):
-        rows_b = m[partition.b_idx]
-        self.m_ba = sp.csr_array(rows_b[:, partition.a_idx])
-        self.solver = SpdSolver(rows_b[:, partition.b_idx])
-
-    def predict(self, a):
-        """P a = M_BB^{-1} M_BA a."""
-        return self.solver.solve(spmv(self.m_ba, a))
-
-
 class FilterContext:
     """Everything needed to apply spectral filters for one (M, partition).
 
@@ -227,10 +213,11 @@ class FilterContext:
     M_BB and the dense SVD factors of the folded pencil, about n^2 / 2
     floats, filtered through without forming the n x n eigenvector
     matrix), or an explicit GftBasis passed in.  It is the reference path
-    and stops at the dense cap.  Poly mode carries the lazy bank's
-    LiftingStep (M_BA and the factor of M_BB); ``solver_a``, the factor of
-    M_AA that every other polynomial filter needs, and the block-diagonal
-    Q (checkers) are built on first use.  Poly filters solve with Q by
+    and stops at the dense cap.  Poly mode carries ``m_ba`` (M_BA) and
+    ``solver_b`` (the factor of M_BB), which every poly filter reads;
+    ``solver_a``, the factor of M_AA that filters of degree 2 and up (or
+    with a degree-1 A-side term) need, and the block-diagonal Q
+    (checkers) are built on first use.  Poly filters solve with Q by
     blocks, with those two factors and never a factor of the n x n Q (so
     they use the block-diagonal Q of M even when a different ``q`` was
     passed in).
@@ -243,7 +230,7 @@ class FilterContext:
         self.partition = partition
         self.mode = mode
         self.basis = basis
-        self.lifting = None
+        self.m_ba = self.solver_b = None
         self.degree_scale = degree_scale
         self._q = q
 
@@ -268,33 +255,19 @@ def make_context(m, partition, mode="poly", degrees=None):
     Raises NotPositiveDefinite when Q is not positive definite.  Poly mode
     decides this without Q: the A block by structure (or one factor when
     its structure is not Laplacian-like), the B block by the factor of
-    M_BB that the lifting step keeps.
+    M_BB that the context keeps.
     """
     ctx = FilterContext(m, partition, mode, degree_scale=degrees)
     if mode == "dense":
         ctx.basis = mq_eigendecompose(ctx.m, ctx.q, partition=partition)
     elif mode == "poly":
         check_positive_definite(extract_principal_block(ctx.m, partition.a_idx))
-        ctx.lifting = LiftingStep(ctx.m, partition)
+        rows_b = ctx.m[partition.b_idx]
+        ctx.m_ba = sp.csr_array(rows_b[:, partition.a_idx])
+        ctx.solver_b = SpdSolver(rows_b[:, partition.b_idx])
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return ctx
-
-
-def synthesis_context(spec, ctx):
-    """``ctx`` with only what ``synthesize(spec, ...)`` reads.
-
-    The lazy bank synthesizes through the lifting step, which holds its own
-    blocks of M, so its copy drops M (about half of what a poly context
-    holds); any other spec gets ``ctx`` itself.  For contexts kept alive
-    only to synthesize, such as the PSNR sweep's.
-    """
-    spec = spec.base if isinstance(spec, ZeroDcSpec) else spec
-    if not _lifts(spec, ctx):
-        return ctx
-    slim = copy.copy(ctx)
-    slim.m = None
-    return slim
 
 
 def _chebyshev(ctx, xa, xb, ca, cb):
@@ -304,25 +277,35 @@ def _chebyshev(ctx, xa, xb, ca, cb):
     S = Z - I = [[0, M_AA^{-1} M_AB], [M_BB^{-1} M_BA, 0]] because Q is the
     block-diagonal of M, and folding puts its spectrum in [-1, 1].  One
     three-term recurrence T_k = 2 S T_{k-1} - T_{k-2}: each step is one
-    product with M_AB and one with M_BA and one solve on each side.
+    product with M_AB and one with M_BA and one solve on each side.  The
+    last step computes a side only when that side's coefficient is
+    nonzero, so the lazy bank (degree 1, no A-side term) is one product
+    with M_BA and one solve with M_BB, the lifting step, and never
+    factors M_AA.
     """
-    m_ba, solver_b = ctx.lifting.m_ba, ctx.lifting.solver
+    m_ba = ctx.m_ba
     ya, yb = ca[0] * xa, cb[0] * xb
     prev, (ta, tb) = None, (xa, xb)
     for k in range(1, len(ca)):
-        sa = ctx.solver_a.solve(m_ba.T @ tb)
-        sb = solver_b.solve(m_ba @ ta)
-        if prev is not None:
-            sa, sb = 2.0 * sa - prev[0], 2.0 * sb - prev[1]
+        last = k == len(ca) - 1
+        sa = sb = None
+        if ca[k] or not last:
+            sa = ctx.solver_a.solve(m_ba.T @ tb)
+            if prev is not None:
+                sa = 2.0 * sa - prev[0]
+            ya += ca[k] * sa
+        if cb[k] or not last:
+            sb = ctx.solver_b.solve(m_ba @ ta)
+            if prev is not None:
+                sb = 2.0 * sb - prev[1]
+            yb += cb[k] * sb
         prev, (ta, tb) = (ta, tb), (sa, sb)
-        ya += ca[k] * sa
-        yb += cb[k] * sb
     return ya, yb
 
 
 def _series(*kernels):
     """Each kernel's Chebyshev coefficients, zero-padded to one length."""
-    cs = [k.chebyshev() for k in kernels]
+    cs = [k.chebyshev for k in kernels]
     size = max(c.size for c in cs)
     return [np.pad(c, (0, size - c.size)) for c in cs]
 
@@ -333,16 +316,12 @@ def apply_kernel(ctx, kernel, x):
         return dense_spectral_filter(ctx.basis, kernel, x)
     if not kernel.is_polynomial:
         raise NotPolynomial("poly context cannot apply non-polynomial kernel")
-    c = kernel.chebyshev()
+    c = kernel.chebyshev
     x = np.asarray(x, dtype=np.float64)
     a, b = ctx.partition.a_idx, ctx.partition.b_idx
     y = np.empty_like(x)
     y[a], y[b] = _chebyshev(ctx, x[a], x[b], c, c)
     return y
-
-
-def _lifts(spec, ctx):
-    return spec.family == "lazy" and ctx.lifting is not None
 
 
 def _dense_analyze(ctx, h0, h1, x):
@@ -376,10 +355,6 @@ def analyze(spec, ctx, x):
     spec, pre, _ = _unwrap(spec, ctx)
     if pre is not None:
         x = (x.T * pre).T
-    if _lifts(spec, ctx):
-        a = x[ctx.partition.a_idx]
-        d = x[ctx.partition.b_idx] + ctx.lifting.predict(a)
-        return ChannelCoefficients(a=a, d=d)
     if ctx.mode == "dense":
         return _dense_analyze(ctx, spec.h0, spec.h1, x)
     # a needs only the A rows of h0(S) x and d the B rows of h1(S) x, so one
@@ -396,10 +371,7 @@ def synthesize(spec, ctx, coeffs):
     d = np.asarray(coeffs.d, dtype=np.float64)
     shape = (ctx.n,) + a.shape[1:]
     x = np.empty(shape)
-    if _lifts(spec, ctx):
-        x[ctx.partition.a_idx] = a
-        x[ctx.partition.b_idx] = d - ctx.lifting.predict(a)
-    elif ctx.mode == "dense":
+    if ctx.mode == "dense":
         up_a = np.zeros(shape)
         up_b = np.zeros(shape)
         up_a[ctx.partition.a_idx] = a
@@ -456,13 +428,11 @@ def _unwrap(spec, ctx):
 # ---------------------------------------------------------------------------
 # Checkers
 
-def _spectrum_for_checks(ctx, dense_cap=2048):
-    """(lam, kind): the computed spectrum, or a grid on [0, 2] past the cap."""
+def _spectrum_for_checks(ctx):
+    """(lam, kind): the context's computed spectrum when it has a basis,
+    else a grid on [0, 2], since the PR identities hold pointwise."""
     if ctx.basis is not None:
         return ctx.basis.lam, "computed"
-    if ctx.n <= dense_cap:
-        return (mq_eigendecompose(ctx.m, ctx.q, partition=ctx.partition).lam,
-                "computed")
     return np.linspace(0.0, 2.0, 2001), "grid"
 
 
@@ -480,8 +450,9 @@ def check_pr(spec, ctx, trials=10, seed=0, tol=None):
     """Evaluate the spectral PR identities on the spectrum and run random
     round-trip trials through analyze/synthesize.
 
-    Past 2048 nodes the identities are evaluated on a grid over [0, 2]
-    instead of the computed spectrum; the report's "spectrum" says which.
+    A context without a basis (poly mode) has its identities evaluated on a
+    grid over [0, 2] instead of a computed spectrum; the report's
+    "spectrum" says which.
     """
     if tol is None:
         tol = 1e-8 if ctx.mode == "dense" else 1e-6

@@ -4,8 +4,9 @@ Each level builds a fresh KNN graph on the current points, forms the
 variation operator and its block-diagonal Q from a random bipartition,
 runs one analysis step, and recurses on the low-pass (A-side) points.
 The bipartite baseline additionally drops within-side edges and switches
-to the normalized Laplacian with Q = I.  A tree is saved as a directory of
-two files: meta.json and one uncompressed tree.npz.
+to the normalized Laplacian with Q = I.  The PSNR sweep synthesizes every
+keep in one upward pass and memoizes only its outputs.  A tree is saved as
+a directory of two files: meta.json and one uncompressed tree.npz.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ class DecompositionTree:
     levels: list  # of LevelRecord, level 0 is the finest
     root: np.ndarray  # (m, c) approximation coefficients
     meta: dict = field(default_factory=dict)
-    # the PSNR sweep's reconstructions, memoized by linear_approximation
+    # the PSNR sweep's outputs, memoized by linear_approximation
     _sweep: _SweepMemo | None = field(default=None, init=False, repr=False,
                                       compare=False)
 
@@ -65,6 +66,10 @@ def _spec_from_meta(meta):
 def _level_context(ell, adjacency, partition, meta):
     """Level ell's FilterContext; a failure to build it names the level."""
     g = gb.Graph(adjacency)
+    if meta.get("zero_dc") and np.any(g.degrees <= 0):
+        # bipartize can leave a vertex with no edge across the partition
+        raise ValueError(
+            f"level {ell}: zero-DC wrapping requires positive degrees")
     if meta["operator"] == "norm":
         m = gb.normalized_laplacian(g, allow_isolated=meta["baseline"])
     else:
@@ -127,18 +132,15 @@ def decompose(pc, spec, k, levels, seed, operator="comb", baseline=False):
     return DecompositionTree(levels=records, root=np.atleast_2d(x), meta=meta)
 
 
-def _synthesize_up(tree, drops, contexts=None):
+def _synthesize_up(tree, drops):
     """reconstruct(tree, drop_finest=j) for every j in drops, in one pass.
 
-    Each level's context is built once.  Variant j zeroes the details of
-    levels i < j, so at level i every variant with j <= i is still the full
-    reconstruction and shares one stream; a variant gets its own synthesis
-    from the level where its details are first zeroed.  Every synthesis sees
-    the same inputs as a single-variant pass, so results are bit-identical.
-    ``contexts`` is an optional dict from level to context.  A level it
-    holds is taken out of it and used; a level it lacks is built and put
-    in, cut to what synthesis reads.  Without it, each context is freed
-    once its level is done.
+    Each level's context is built once and freed once its level is done.
+    Variant j zeroes the details of levels i < j, so at level i every
+    variant with j <= i is still the full reconstruction and shares one
+    stream; a variant gets its own synthesis from the level where its
+    details are first zeroed.  Every synthesis sees the same inputs as a
+    single-variant pass, so results are bit-identical.
     """
     meta = tree.meta
     spec = _spec_from_meta(meta)
@@ -147,11 +149,7 @@ def _synthesize_up(tree, drops, contexts=None):
     split = {}  # j -> its own stream, once its details have been zeroed
     for i in reversed(range(len(tree.levels))):
         lv = tree.levels[i]
-        ctx = None if contexts is None else contexts.pop(i, None)
-        if ctx is None:
-            ctx = _level_context(i, lv.adjacency, lv.partition, meta)
-            if contexts is not None:
-                contexts[i] = fb.synthesis_context(spec, ctx)
+        ctx = _level_context(i, lv.adjacency, lv.partition, meta)
         scale = (np.sqrt(ctx.degree_scale[lv.partition.a_idx])
                  if meta.get("zero_dc") else None)
 
@@ -181,20 +179,19 @@ def reconstruct(tree, drop_finest=0):
 
 
 class _SweepMemo:
-    """reconstruct(tree, drop_finest=j) by j, with what it was computed from.
+    """reconstruct(tree, drop_finest=j) for every j, with what it was
+    computed from.
 
-    Holds a copy of the meta and of every coefficient array, and the level,
-    partition and adjacency objects (compared by identity).  So edits of
-    the meta or the coefficients, in place or not, and replaced level,
-    partition or adjacency objects are seen and the memo is dropped.
-    ``contexts`` keeps the level contexts the first keep's pass built for
-    the pass that completes the sweep, which takes each one out as it uses
-    it; they go with the memo when the memo is dropped.
+    The outputs come from one _synthesize_up pass over every keep, which
+    frees each level's context once its level is done; only the outputs
+    are kept.  Holds a copy of the meta and of every coefficient array, and
+    the level, partition and adjacency objects (compared by identity).  So
+    edits of the meta or the coefficients, in place or not, and replaced
+    level, partition or adjacency objects are seen and the memo is dropped.
     """
 
     def __init__(self, tree):
-        self.outputs = {}
-        self.contexts = {}
+        self.outputs = _synthesize_up(tree, range(len(tree.levels) + 1))
         self.meta = copy.deepcopy(tree.meta)
         self.levels = [(lv, lv.partition, lv.adjacency) for lv in tree.levels]
         self.root = np.array(tree.root)
@@ -210,17 +207,6 @@ class _SweepMemo:
             and all(np.array_equal(d, lv.details)
                     for d, lv in zip(self.details, tree.levels))
         )
-
-    def get(self, tree, j):
-        # the first keep asked of a tree costs one reconstruct and keeps its
-        # contexts; the next new one computes every keep still missing in one
-        # shared pass from them
-        if j not in self.outputs:
-            drops = [j] if not self.outputs else [
-                i for i in range(len(tree.levels) + 1) if i not in self.outputs]
-            self.outputs.update(
-                zip(drops, _synthesize_up(tree, drops, self.contexts)))
-        return self.outputs[j]
 
 
 @dataclass
@@ -249,19 +235,19 @@ def linear_approximation(tree, keep, original, peak=255.0):
 
     keep is a nominal fraction from {2^-L, ..., 1/2, 1}: the j finest
     detail levels are zeroed where keep = 2^-j.  The realized m/n comes
-    from actual partition sizes.  The first call on a tree costs one
-    reconstruct and keeps its level contexts; the first call for another
-    keep computes every remaining keep of the sweep in one upward pass from
-    those contexts, building none, and then lets them go.  Results are
-    memoized on the tree and reused while its levels and coefficients are
-    unchanged; a change drops the results and the contexts together.
+    from actual partition sizes.  The first call on a tree computes every
+    keep of the sweep in one upward pass, which builds each level's context
+    once and frees it after its level, and memoizes only the outputs; they
+    are reused while the tree's levels and coefficients are unchanged, and
+    a change drops them.  For a single keep, reconstruct(tree,
+    drop_finest=j) costs less than this first call.
     """
     if not (0 < keep <= 1):
         raise ValueError("keep must be in (0, 1]")
     j = min(int(round(-np.log2(keep))), len(tree.levels))
     if tree._sweep is None or not tree._sweep.matches(tree):
         tree._sweep = _SweepMemo(tree)
-    rec = tree._sweep.get(tree, j).copy()
+    rec = tree._sweep.outputs[j].copy()
     zeroed = sum(lv.details.shape[0] for lv in tree.levels[:j])
     n = tree.meta["n"]
     return ApproximationResult(

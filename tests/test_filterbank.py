@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from mqfb import filterbank as fb
 from mqfb import multires
 from mqfb.filterbank import (
     ChannelCoefficients,
@@ -161,7 +162,6 @@ class TestLifting:
         for n, seed in [(30, 1), (60, 3), (75, 2), (120, 3)]:
             dense = comb_context(n, seed, mode="dense")
             poly = comb_context(n, seed, mode="poly")
-            assert poly.lifting is not None
             x = np.random.default_rng(seed).standard_normal((n, 2))
             cd = analyze(lazy_spec(), dense, x)
             cp = analyze(lazy_spec(), poly, x)
@@ -170,18 +170,35 @@ class TestLifting:
             np.testing.assert_allclose(synthesize(lazy_spec(), poly, cd),
                                        synthesize(lazy_spec(), dense, cd),
                                        atol=1e-10)
+            # the degree-1 recurrence is the lifting step: M_AA unfactored
+            assert "solver_a" not in vars(poly)
 
-    def test_matches_horner_over_z(self):
-        # a custom spec with the lazy kernels runs the Horner loop over Z
-        ctx = comb_context(200, 21, mode="poly")
+    def test_lazy_kernels_factor_only_m_bb(self, monkeypatch):
+        """The lazy bank and a custom spec with its kernels both take the
+        lifting step, building one SpdSolver (M_BB) per context across
+        analysis and synthesis, with bit-identical outputs."""
+        built = []
+        real = fb.SpdSolver
+
+        def counting(a, *args, **kwargs):
+            built.append(a.shape)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(fb, "SpdSolver", counting)
         lazy = lazy_spec()
-        horner = FilterBankSpec(h0=lazy.h0, h1=lazy.h1, g0=lazy.g0, g1=lazy.g1)
-        x = np.random.default_rng(21).standard_normal(200)
-        cl = analyze(lazy, ctx, x)
-        ch = analyze(horner, ctx, x)
-        np.testing.assert_allclose(cl.d, ch.d, atol=1e-10)
-        np.testing.assert_allclose(synthesize(lazy, ctx, cl),
-                                   synthesize(horner, ctx, cl), atol=1e-10)
+        custom = FilterBankSpec(h0=lazy.h0, h1=lazy.h1, g0=lazy.g0, g1=lazy.g1)
+        assert custom.family == "custom"
+        x = np.random.default_rng(23).standard_normal((200, 3))
+        outs = []
+        for spec in (lazy, custom):
+            built.clear()
+            ctx = comb_context(200, 23, mode="poly")
+            c = analyze(spec, ctx, x)
+            outs.append((c.a, c.d, synthesize(spec, ctx, c)))
+            nb = ctx.partition.b_idx.size
+            assert built == [(nb, nb)]
+        for u, v in zip(*outs):
+            np.testing.assert_array_equal(u, v)
 
     def test_pipeline_factors_only_b_blocks(self, monkeypatch):
         shapes = []
@@ -282,6 +299,17 @@ class TestCheckPr:
         assert rep["passed"]
         assert rep["max_identity_violation"] <= 1e-12
         assert rep["spectrum"] == "computed"
+
+    def test_poly_context_checks_on_the_grid(self, monkeypatch):
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("check_pr built an eigendecomposition")
+
+        monkeypatch.setattr(fb, "mq_eigendecompose", no_eigh)
+        ctx = comb_context(60, 8, mode="poly")
+        for spec in (lazy_spec(), orthogonal_cosine_spec()):
+            rep = check_pr(spec, ctx, trials=2)
+            assert rep["spectrum"] == "grid"
+            assert rep["passed"], rep
 
     def test_grid_reported_past_dense_cap(self):
         ctx = comb_context(2100, 22, mode="poly")

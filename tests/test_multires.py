@@ -190,7 +190,7 @@ class TestLinearApproximation:
         tree = decompose(pc, fb.lazy_spec(), k=4, levels=3, seed=17)
         first = linear_approximation(tree, 0.5, pc.attributes)
         assert not any(np.shares_memory(first.attributes, out)
-                       for out in tree._sweep.outputs.values())
+                       for out in tree._sweep.outputs)
         first.attributes[:] = 0.0
         np.testing.assert_array_equal(
             linear_approximation(tree, 0.5, pc.attributes).attributes,
@@ -205,27 +205,35 @@ class TestLinearApproximation:
 
     def test_sweep_builds_each_context_once(self, monkeypatch):
         pc = small_cloud()
-        tree = decompose(pc, fb.lazy_spec(), k=4, levels=3, seed=18)
         calls = {"make_context": 0, "synthesize": 0}
         for name in calls:
             def counted(*args, _real=getattr(fb, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _real(*args, **kwargs)
             monkeypatch.setattr(fb, name, counted)
-        levels = len(tree.levels)
-        linear_approximation(tree, 0.25, pc.attributes)
-        # one keep costs what reconstruct costs
-        assert calls == {"make_context": levels, "synthesize": levels}
-        assert sorted(tree._sweep.contexts) == list(range(levels))
-        # kept for synthesis only: the lifting step, not the level's M
-        assert all(ctx.m is None and ctx.lifting is not None
-                   for ctx in tree._sweep.contexts.values())
-        for j in range(levels + 1):
-            linear_approximation(tree, 2.0**-j, pc.attributes)
-        # every other keep comes from one more pass on the same contexts,
-        # which the memo then lets go
-        assert calls["make_context"] == levels
-        assert tree._sweep.contexts == {}
+        # in any keep order, the root-only keep first included
+        for order in ([0, 1, 2, 3], [2, 0, 1, 3], [3, 2, 1, 0]):
+            tree = decompose(pc, fb.lazy_spec(), k=4, levels=3, seed=18)
+            levels = len(tree.levels)
+            assert sorted(order) == list(range(levels + 1))
+            calls.update(make_context=0, synthesize=0)
+            first = linear_approximation(tree, 2.0**-order[0], pc.attributes)
+            # the first keep runs the whole sweep in one pass: level i
+            # synthesizes the full stream and one stream per keep j > i
+            passes = sum(levels - i + 1 for i in range(levels))
+            assert calls == {"make_context": levels, "synthesize": passes}
+            # the memo keeps outputs only, no level context
+            assert len(tree._sweep.outputs) == levels + 1
+            assert not any(isinstance(v, fb.FilterContext)
+                           for v in vars(tree._sweep).values())
+            np.testing.assert_array_equal(
+                first.attributes, reconstruct(tree, drop_finest=order[0]))
+            calls.update(make_context=0, synthesize=0)
+            for j in order[1:]:
+                res = linear_approximation(tree, 2.0**-j, pc.attributes)
+                np.testing.assert_array_equal(res.attributes,
+                                              tree._sweep.outputs[j])
+            assert calls == {"make_context": 0, "synthesize": 0}
 
     @pytest.mark.parametrize("spec", [
         fb.lazy_spec(), fb.orthogonal_cosine_spec(),
@@ -238,7 +246,7 @@ class TestLinearApproximation:
                   for j in range(len(tree.levels) + 1)]
         linear_approximation(tree, 0.5, pc.attributes)
         memo = tree._sweep
-        assert memo.contexts
+        assert len(memo.outputs) == len(tree.levels) + 1
         lv = tree.levels[0]
         if replace == "adjacency":
             # squared weights change every filter, lazy included (a uniform
@@ -255,7 +263,6 @@ class TestLinearApproximation:
             expected = reconstruct(tree, drop_finest=j)
             np.testing.assert_array_equal(res.attributes, expected)
             assert not np.array_equal(expected, before[j])
-        assert tree._sweep.contexts == {}
 
     def test_coarser_keep_not_better(self):
         pc = gaussian_blob_cloud(2000, seed=14)

@@ -162,7 +162,7 @@ def test_folding_past_the_dense_cap(level_20k):
     def q_solve(y):
         z = np.empty_like(y)
         z[a] = ctx.solver_a.solve(y[a])
-        z[b] = ctx.lifting.solver.solve(y[b])
+        z[b] = ctx.solver_b.solve(y[b])
         return z
 
     n = m.shape[0]
@@ -188,3 +188,12 @@ def test_q_parseval_past_the_dense_cap(level_20k):
     assert rep["passed"], rep
     rep = fb.check_pr(spec, ctx, trials=3)
     assert rep["passed"] and rep["spectrum"] == "grid", rep
+
+
+def test_zero_dc_failure_names_its_level():
+    """bipartize can leave a vertex with no cross edge, so zero degree."""
+    pc = gaussian_blob_cloud(5000, seed=0)
+    with pytest.raises(ValueError, match=r"^level 0: zero-DC wrapping requires "
+                                         r"positive degrees"):
+        decompose(pc, fb.zero_dc_wrap(fb.lazy_spec()), k=10, levels=7, seed=0,
+                  baseline=True)
