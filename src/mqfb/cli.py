@@ -132,6 +132,7 @@ def cmd_decompose(args):
         operator=args.operator, baseline=args.baseline == "bipartite",
     )
     seconds = time.perf_counter() - t0
+    args.operator = tree.meta["operator"]  # the report shows the resolved one
     mr.save_tree(tree, args.out)
     rows = []
     realized_levels = len(tree.levels)
@@ -205,7 +206,8 @@ def build_parser():
     d.add_argument("--levels", type=int, default=7)
     d.add_argument("--seed", type=int, default=0)
     d.add_argument("--family", default="lazy", choices=["lazy", "ortho-cosine"])
-    d.add_argument("--operator", default="comb", choices=["comb", "norm"])
+    d.add_argument("--operator", default=None, choices=["comb", "norm"],
+                   help="default: norm with --baseline bipartite, else comb")
     d.add_argument("--mode", default=None, choices=["dense", "poly"],
                    help="filter implementation (default: the family's own, "
                         "poly; dense is the eigenbasis reference, <= 4096 "

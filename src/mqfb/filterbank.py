@@ -221,8 +221,8 @@ class FilterContext:
     blocks, with those two factors and never a factor of the n x n Q (so
     they use the block-diagonal Q of M even when a different ``q`` was
     passed in).
-    ``degree_scale`` is set when the graph degrees are known (zero-DC
-    wrapping needs them).
+    ``degree_scale`` holds the graph degrees, whose square roots a
+    ZeroDcSpec scales by (a degree of 0 scales by 1).
     """
 
     def __init__(self, m, partition, mode, q=None, basis=None, degree_scale=None):
@@ -333,9 +333,8 @@ def _dense_analyze(ctx, h0, h1, x):
     y = gft_inverse(basis, np.hstack([h0(basis.lam)[:, None] * xhat,
                                       h1(basis.lam)[:, None] * xhat]))
     tail = x.shape[1:]
-    a = y[ctx.partition.a_idx, :c].reshape((-1,) + tail)
-    d = y[ctx.partition.b_idx, c:].reshape((-1,) + tail)
-    return ChannelCoefficients(a=a, d=d)
+    return (y[ctx.partition.a_idx, :c].reshape((-1,) + tail),
+            y[ctx.partition.b_idx, c:].reshape((-1,) + tail))
 
 
 def _dense_synthesize(ctx, g0, g1, up_a, up_b):
@@ -352,23 +351,29 @@ def _dense_synthesize(ctx, g0, g1, up_a, up_b):
 def analyze(spec, ctx, x):
     """a = (H0 x) on A, d = (H1 x) on B."""
     x = np.asarray(x, dtype=np.float64)
-    spec, pre, _ = _unwrap(spec, ctx)
+    spec, pre = _unwrap(spec, ctx)
     if pre is not None:
         x = (x.T * pre).T
+    a_idx = ctx.partition.a_idx
     if ctx.mode == "dense":
-        return _dense_analyze(ctx, spec.h0, spec.h1, x)
-    # a needs only the A rows of h0(S) x and d the B rows of h1(S) x, so one
-    # recurrence on x carries both channels
-    a, d = _chebyshev(ctx, x[ctx.partition.a_idx], x[ctx.partition.b_idx],
-                      *_series(spec.h0, spec.h1))
+        a, d = _dense_analyze(ctx, spec.h0, spec.h1, x)
+    else:
+        # a needs only the A rows of h0(S) x and d the B rows of h1(S) x, so
+        # one recurrence on x carries both channels
+        a, d = _chebyshev(ctx, x[a_idx], x[ctx.partition.b_idx],
+                          *_series(spec.h0, spec.h1))
+    if pre is not None:
+        a = (a.T / pre[a_idx]).T
     return ChannelCoefficients(a=a, d=d)
 
 
 def synthesize(spec, ctx, coeffs):
     """x = G0 upsample_A(a) + G1 upsample_B(d)."""
-    spec, _, post = _unwrap(spec, ctx)
+    spec, pre = _unwrap(spec, ctx)
     a = np.asarray(coeffs.a, dtype=np.float64)
     d = np.asarray(coeffs.d, dtype=np.float64)
+    if pre is not None:
+        a = (a.T * pre[ctx.partition.a_idx]).T
     shape = (ctx.n,) + a.shape[1:]
     x = np.empty(shape)
     if ctx.mode == "dense":
@@ -386,8 +391,8 @@ def synthesize(spec, ctx, coeffs):
         even = np.arange(g0.size) % 2 == 0
         x[ctx.partition.a_idx], x[ctx.partition.b_idx] = _chebyshev(
             ctx, a, d, np.where(even, g0, g1), np.where(even, g1, g0))
-    if post is not None:
-        x = (x.T * post).T
+    if pre is not None:
+        x = (x.T * (1.0 / pre)).T
     return x
 
 
@@ -397,7 +402,10 @@ def synthesize(spec, ctx, coeffs):
 @dataclass(frozen=True)
 class ZeroDcSpec:
     """Degree-scaled variant: analysis sees D^{1/2} x, synthesis emits
-    D^{-1/2} x, so constant inputs produce zero detail coefficients."""
+    D^{-1/2} x, so constant inputs produce zero detail coefficients.  The
+    low-pass a is returned and taken in the signal domain, and a vertex
+    with no edge across the cut (degree 0) is scaled by 1: under the lazy
+    bank it keeps its own value as its detail."""
 
     base: FilterBankSpec
 
@@ -415,14 +423,14 @@ def zero_dc_wrap(spec):
 
 
 def _unwrap(spec, ctx):
-    if isinstance(spec, ZeroDcSpec):
-        d = ctx.degree_scale
-        if d is None:
-            raise ValueError("context lacks degrees; build it with degrees=")
-        if np.any(d <= 0):
-            raise ValueError("zero-DC wrapping requires positive degrees")
-        return spec.base, np.sqrt(d), 1.0 / np.sqrt(d)
-    return spec, None, None
+    if not isinstance(spec, ZeroDcSpec):
+        return spec, None
+    d = ctx.degree_scale
+    if d is None:
+        raise ValueError("context lacks degrees; build it with degrees=")
+    if not np.all(np.isfinite(d)) or np.any(d < 0):
+        raise ValueError("zero-DC wrapping requires finite degrees >= 0")
+    return spec.base, np.sqrt(np.where(d > 0, d, 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -141,8 +141,9 @@ def _sign_of_largest(v):
     return np.sign(v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])])
 
 
-def mq_eigendecompose(m, q, dense_cap=DENSE_CAP_DEFAULT, partition=None):
-    """Solve M u = lambda Q u densely; Q must be PD.
+def mq_eigendecompose(m, q, partition=None):
+    """Solve M u = lambda Q u densely; Q must be PD and n at most
+    DENSE_CAP_DEFAULT (else DenseCapExceeded, before anything is densified).
 
     With ``partition``, Q must be the block-diagonal of M under it (else
     WrongInnerProduct) and the result is a FoldedBasis built from one SVD;
@@ -154,8 +155,8 @@ def mq_eigendecompose(m, q, dense_cap=DENSE_CAP_DEFAULT, partition=None):
     eigenvalues are nondecreasing.
     """
     n = m.shape[0]
-    if n > dense_cap:
-        raise DenseCapExceeded(f"n={n} exceeds dense cap {dense_cap}")
+    if n > DENSE_CAP_DEFAULT:
+        raise DenseCapExceeded(f"n={n} exceeds dense cap {DENSE_CAP_DEFAULT}")
     q_sparse = sp.csr_array(q)
     if partition is not None:
         return _folded_basis(sp.csr_array(m), q_sparse, partition)
@@ -253,10 +254,6 @@ class FundamentalOperator:
 
     def apply(self, x):
         return self.q_solver.solve(spmv(self.m, x))
-
-
-def _fold_vector(f, u):
-    return f * u if u.ndim == 1 else (f[:, None] * u)
 
 
 def verify_spectral_folding(basis, partition, tol=1e-8, m=None, group_tol=1e-6):

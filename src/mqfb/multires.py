@@ -23,14 +23,9 @@ import scipy.sparse as sp
 
 from . import filterbank as fb
 from . import graphs as gb
-from .gft import DenseCapExceeded
 # the Matrix Market helpers are no longer called here; perfbench's tracer
 # still wraps them under these names
-from .sparse_core import (  # noqa: F401
-    NotPositiveDefinite,
-    load_matrix_market,
-    save_matrix_market,
-)
+from .sparse_core import load_matrix_market, save_matrix_market  # noqa: F401
 
 MIN_LEVEL_POINTS = 4
 
@@ -65,23 +60,19 @@ def _spec_from_meta(meta):
 
 def _level_context(ell, adjacency, partition, meta):
     """Level ell's FilterContext; a failure to build it names the level."""
-    g = gb.Graph(adjacency)
-    if meta.get("zero_dc") and np.any(g.degrees <= 0):
-        # bipartize can leave a vertex with no edge across the partition
-        raise ValueError(
-            f"level {ell}: zero-DC wrapping requires positive degrees")
-    if meta["operator"] == "norm":
-        m = gb.normalized_laplacian(g, allow_isolated=meta["baseline"])
-    else:
-        m = gb.combinatorial_laplacian(g)
     try:
+        g = gb.Graph(adjacency)
+        if meta["operator"] == "norm":
+            m = gb.normalized_laplacian(g, allow_isolated=meta["baseline"])
+        else:
+            m = gb.combinatorial_laplacian(g)
         return fb.make_context(m, partition, mode=meta["mode"],
                                degrees=g.degrees)
-    except (NotPositiveDefinite, DenseCapExceeded) as e:
+    except ValueError as e:
         raise type(e)(f"level {ell}: {e}") from e
 
 
-def decompose(pc, spec, k, levels, seed, operator="comb", baseline=False):
+def decompose(pc, spec, k, levels, seed, operator=None, baseline=False):
     """Run the iterated analysis filter-bank on the attribute channels."""
     if levels < 1:
         raise ValueError("levels must be >= 1")
@@ -89,8 +80,11 @@ def decompose(pc, spec, k, levels, seed, operator="comb", baseline=False):
         raise ValueError("point cloud has no attribute channels")
     zero_dc = isinstance(spec, fb.ZeroDcSpec)
     base_spec = spec.base if zero_dc else spec
-    if baseline and operator != "norm":
-        operator = "norm"  # BFB semantics: normalized Laplacian, Q = I
+    if operator is None:
+        operator = "norm" if baseline else "comb"  # BFB: normalized, Q = I
+    elif baseline and operator != "norm":
+        raise ValueError(f"the bipartite baseline runs on operator 'norm', "
+                         f"not {operator!r}")
     meta = {
         "n": pc.n,
         "channels": pc.channels,
@@ -125,10 +119,6 @@ def decompose(pc, spec, k, levels, seed, operator="comb", baseline=False):
                                    details=np.atleast_2d(coeffs.d)))
         pos = pos[p.a_idx]
         x = coeffs.a
-        if zero_dc:
-            # hand the low-pass back in the signal domain so the degree
-            # scaling telescopes across levels
-            x = (x.T / np.sqrt(ctx.degree_scale[p.a_idx])).T
     return DecompositionTree(levels=records, root=np.atleast_2d(x), meta=meta)
 
 
@@ -150,12 +140,8 @@ def _synthesize_up(tree, drops):
     for i in reversed(range(len(tree.levels))):
         lv = tree.levels[i]
         ctx = _level_context(i, lv.adjacency, lv.partition, meta)
-        scale = (np.sqrt(ctx.degree_scale[lv.partition.a_idx])
-                 if meta.get("zero_dc") else None)
 
         def up(x, d):
-            if scale is not None:
-                x = (x.T * scale).T
             return fb.synthesize(spec, ctx, fb.ChannelCoefficients(a=x, d=d))
 
         for j in drops:

@@ -159,6 +159,27 @@ def test_reconstruct_names_the_failing_level(tmp_path, capsys):
     assert "numerical failure: level 1: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("baseline, want", [("none", "comb"),
+                                             ("bipartite", "norm")])
+def test_decompose_reports_the_operator_it_ran(tmp_path, baseline, want):
+    assert main(["decompose", "--synthetic", "300", "--k", "6", "--levels",
+                 "1", "--baseline", baseline, "--out", str(tmp_path / "t"),
+                 "--report", str(tmp_path / "r.json")]) == EXIT_OK
+    meta = json.loads((tmp_path / "t" / "meta.json").read_text())
+    report = json.loads((tmp_path / "r.json").read_text())
+    assert meta["operator"] == report["config"]["operator"] == want
+
+
+def test_decompose_rejects_comb_with_the_baseline(tmp_path, capsys):
+    code = main(["decompose", "--synthetic", "300", "--k", "6", "--levels",
+                 "1", "--baseline", "bipartite", "--operator", "comb",
+                 "--out", str(tmp_path / "t")])
+    assert code == EXIT_CHECK_FAILED
+    assert ("the bipartite baseline runs on operator 'norm', not 'comb'"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "t").exists()
+
+
 def test_decompose_rejects_tol(tmp_path):
     # the direct solver has no tolerance, so decompose offers no --tol
     with pytest.raises(SystemExit) as exc:

@@ -464,6 +464,25 @@ class TestZeroDc:
         with pytest.raises(ValueError):
             analyze(zero_dc_wrap(lazy_spec()), ctx, np.ones(20))
 
+    @pytest.mark.parametrize("mode", ["poly", "dense"])
+    def test_low_pass_in_signal_domain(self, mode):
+        # the lazy low-pass is the identity on A, and a comes back unscaled
+        ctx = comb_context(60, 18, mode=mode)
+        x = np.random.default_rng(8).standard_normal((60, 3))
+        a = analyze(zero_dc_wrap(lazy_spec()), ctx, x).a
+        want = x[ctx.partition.a_idx]
+        assert np.linalg.norm(a - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_negative_degree_raises(self):
+        g = random_connected_graph(20, seed=9)
+        p = random_partition(20, 9)
+        d = g.degrees.copy()
+        d[3] = -1.0
+        ctx = make_context(combinatorial_laplacian(g), p, mode="poly",
+                           degrees=d)
+        with pytest.raises(ValueError, match="degrees >= 0"):
+            analyze(zero_dc_wrap(lazy_spec()), ctx, np.ones(20))
+
 
 class TestSpecSerialization:
     def test_named_families_roundtrip(self):

@@ -4,6 +4,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from mqfb.gft import (
+    DENSE_CAP_DEFAULT,
     DenseCapExceeded,
     FundamentalOperator,
     WrongInnerProduct,
@@ -69,9 +70,10 @@ class TestEigendecompose:
         np.testing.assert_allclose(np.sort(lam), np.sort(2 - lam), atol=1e-8)
 
     def test_dense_cap(self):
-        m = sp.eye(10).tocsr()
+        # the cap is checked before anything is densified
+        m = sp.eye(DENSE_CAP_DEFAULT + 1, format="csr")
         with pytest.raises(DenseCapExceeded):
-            mq_eigendecompose(m, m, dense_cap=5)
+            mq_eigendecompose(m, m)
 
 
 def sided_partition(n, n_a, seed):

@@ -18,7 +18,7 @@ from mqfb import filterbank as fb
 from mqfb import graphs as gb
 from mqfb.cli import EXIT_OK, main
 from mqfb.gft import DENSE_CAP_DEFAULT
-from mqfb.multires import decompose, reconstruct
+from mqfb.multires import decompose, load_tree, reconstruct, save_tree
 from mqfb.synthetic import gaussian_blob_cloud
 
 ARMS = {
@@ -190,10 +190,18 @@ def test_q_parseval_past_the_dense_cap(level_20k):
     assert rep["passed"] and rep["spectrum"] == "grid", rep
 
 
-def test_zero_dc_failure_names_its_level():
-    """bipartize can leave a vertex with no cross edge, so zero degree."""
+def test_zero_dc_baseline_runs_past_isolated_vertices(tmp_path):
+    """bipartize leaves vertices with no cross edge (degree 0), which the
+    zero-DC scaling passes through unscaled."""
     pc = gaussian_blob_cloud(5000, seed=0)
-    with pytest.raises(ValueError, match=r"^level 0: zero-DC wrapping requires "
-                                         r"positive degrees"):
-        decompose(pc, fb.zero_dc_wrap(fb.lazy_spec()), k=10, levels=7, seed=0,
-                  baseline=True)
+    tree = decompose(pc, fb.zero_dc_wrap(fb.lazy_spec()), k=10, levels=7,
+                     seed=0, baseline=True)
+    lv = tree.levels[0]
+    knn = gb.knn_graph(gb.PointCloud(pc.positions, np.empty((pc.n, 0))), 10)
+    g = gb.bipartize(knn, lv.partition)
+    assert (g.adjacency != lv.adjacency).nnz == 0
+    assert g.meta["isolated_after_bipartize"] > 0
+    save_tree(tree, tmp_path / "t")
+    rec = reconstruct(load_tree(tmp_path / "t"))
+    x = pc.attributes
+    assert np.linalg.norm(rec - x) <= 1e-8 * np.linalg.norm(x)
