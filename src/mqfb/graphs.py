@@ -325,15 +325,23 @@ def meet_every_component(p, labels):
     return Partition(f)
 
 
+def keep_entries(w, keep):
+    """CSR ``w`` cut to its stored entries (i, j) where ``keep(i, j)`` holds.
+
+    ``keep`` takes the row and column index arrays of the stored entries
+    and returns a boolean mask; the cut is O(nnz) and keeps the order of
+    ``w``'s entries.
+    """
+    rows = np.repeat(np.arange(w.shape[0]), np.diff(w.indptr))
+    mask = keep(rows, w.indices)
+    indptr = np.zeros_like(w.indptr)
+    np.cumsum(np.bincount(rows[mask], minlength=w.shape[0]), out=indptr[1:])
+    return sp.csr_array((w.data[mask], w.indices[mask], indptr), shape=w.shape)
+
+
 def bipartize(g, p):
     """Keep only edges crossing the (A, B) cut; weights preserved."""
-    w = g.adjacency
-    rows = np.repeat(np.arange(g.n), np.diff(w.indptr))
-    keep = p.f[rows] != p.f[w.indices]
-    counts = np.bincount(rows[keep], minlength=g.n)
-    indptr = np.zeros_like(w.indptr)
-    np.cumsum(counts, out=indptr[1:])
-    adj = sp.csr_array((w.data[keep], w.indices[keep], indptr), shape=w.shape)
+    adj = keep_entries(g.adjacency, lambda i, j: p.f[i] != p.f[j])
     meta = dict(g.meta)
-    meta["isolated_after_bipartize"] = int(np.sum(counts == 0))
+    meta["isolated_after_bipartize"] = int(np.sum(np.diff(adj.indptr) == 0))
     return Graph(adj, meta=meta)

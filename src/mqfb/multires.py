@@ -269,7 +269,7 @@ def _tree_arrays(tree):
     """
     arrays = {"root": np.asarray(tree.root, dtype="<f8")}
     for i, lv in enumerate(tree.levels):
-        u = sp.triu(lv.adjacency, k=1, format="csr")
+        u = gb.keep_entries(sp.csr_array(lv.adjacency), lambda r, c: c > r)
         wide = max(u.shape[0], u.nnz) >= 2**31
         idx = "<i8" if wide else "<i4"
         arrays.update({

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from mqfb.sparse_core import (
     EmptyBlock,
@@ -13,8 +14,14 @@ from mqfb.sparse_core import (
     save_matrix_market,
     spmv,
 )
-from mqfb.graphs import Partition, combinatorial_laplacian
-from mqfb.synthetic import random_connected_graph
+from mqfb.graphs import (
+    Partition,
+    combinatorial_laplacian,
+    knn_graph,
+    meet_every_component,
+    random_partition,
+)
+from mqfb.synthetic import gaussian_blob_cloud, random_connected_graph
 
 
 def triangle_laplacian():
@@ -134,6 +141,40 @@ class TestSpdSolve:
         solver = SpdSolver(sp.eye(4).tocsc())
         with pytest.raises(ValueError):
             solver.solve(np.ones(5))
+
+
+class TestSpdSolverAtScale:
+    """SpdSolver on a 20k-point level against SuperLU's default panels."""
+
+    @pytest.fixture(scope="class")
+    def level(self):
+        g = knn_graph(gaussian_blob_cloud(20_000, seed=0), 5)
+        labels = g.meta["labels"]
+        p = meet_every_component(random_partition(g.n, 0), labels)
+        return combinatorial_laplacian(g), p, labels
+
+    def test_matches_default_panel_factor(self, level):
+        m, p, _ = level
+        m_bb = sp.csc_array(extract_principal_block(m, p.b_idx))
+        solver = SpdSolver(m_bb)
+        panels = spla.splu(m_bb, diag_pivot_thresh=0.0,
+                           permc_spec="MMD_AT_PLUS_A",
+                           options=dict(SymmetricMode=True))
+        fill = solver._lu.L.nnz + solver._lu.U.nnz
+        assert fill == panels.L.nnz + panels.U.nnz
+        y = np.random.default_rng(0).standard_normal((m_bb.shape[0], 3))
+        z = solver.solve(y)
+        ref = panels.solve(y)
+        assert np.linalg.norm(z - ref) <= 1e-13 * np.linalg.norm(ref)
+        assert np.linalg.norm(m_bb @ z - y) <= 1e-14 * np.linalg.norm(y)
+
+    def test_whole_component_block_is_singular(self, level):
+        m, _, labels = level
+        whole = np.flatnonzero(labels == np.argmax(np.bincount(labels)))
+        block = extract_principal_block(m, whole)
+        assert block.shape[0] > 5000
+        with pytest.raises(NotPositiveDefinite):
+            SpdSolver(block)
 
 
 class TestCheckPositiveDefinite:

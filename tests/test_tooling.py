@@ -1,4 +1,5 @@
-"""The benchmark's tracer still wraps names the library defines.
+"""The benchmark's tracer still wraps names the library defines, and the
+pipeline factors with one configuration.
 
 perfbench/tracer.py replaces library attributes by name, so deleting or
 renaming one of them breaks traced benchmark runs (``perfbench/run.py
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from mqfb import filterbank as fb
 from mqfb import multires as mr
@@ -60,3 +62,27 @@ def test_tracer_installs_and_removes(tracer_module, spec, tmp_path):
     assert totals["filterbank.make_context"]["calls"] == 3 * levels
     assert totals["filterbank.analyze"]["calls"] == levels
     assert totals["multires.linear_approximation"]["calls"] == levels + 1
+
+
+@pytest.mark.parametrize("spec", [fb.lazy_spec(), fb.orthogonal_cosine_spec()],
+                         ids=["lazy", "ortho-poly"])
+def test_every_factor_uses_the_spd_solver_settings(spec, monkeypatch):
+    """No second factor configuration: every splu call in decompose,
+    reconstruct and the sweep gets SpdSolver's keyword arguments."""
+    calls = []
+    splu = spla.splu
+
+    def recording_splu(a, **kwargs):
+        calls.append(kwargs)
+        return splu(a, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    pc = gaussian_blob_cloud(300, seed=0)
+    tree = mr.decompose(pc, spec, k=5, levels=3, seed=0)
+    mr.reconstruct(tree)
+    for j in range(len(tree.levels) + 1):
+        mr.linear_approximation(tree, 2.0**-j, pc.attributes)
+    assert calls
+    assert all(kw == dict(diag_pivot_thresh=0.0, permc_spec="MMD_AT_PLUS_A",
+                          panel_size=1, options=dict(SymmetricMode=True))
+               for kw in calls)
