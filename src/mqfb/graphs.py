@@ -231,7 +231,10 @@ def knn_graph(pc, k):
     queries walk the same nodes), split over every core.  A point's
     neighbor list does not depend on the query order, so the graph is
     bit-identical to a row-order query: canonical CSR (sorted indices, no
-    diagonal entries, no explicit zeros).
+    diagonal entries, no explicit zeros) with int32 indices (int64 only
+    past 2^31).  The directed graph is built as CSR straight from the
+    query, k entries per row, and the query arrays are freed before the
+    symmetric union.
     """
     pos = pc.positions
     n = pos.shape[0]
@@ -249,11 +252,22 @@ def knn_graph(pc, k):
     drop = idx == order[:, None]
     drop[~drop.any(axis=1), -1] = True
     keep = ~drop
-    rows = np.repeat(order, k)
     bbox = pos.max(axis=0) - pos.min(axis=0)
     floor = 1e-9 * (float(np.linalg.norm(bbox)) or 1.0)
-    w = 1.0 / np.maximum(dist[keep], floor)  # finite and > 0
-    adj = sp.coo_array((w, (rows, idx[keep])), shape=(n, n)).tocsr()
+    # leaf-order query row i is vertex order[i]'s row; sort each row's k
+    # neighbors so the CSR is canonical
+    itype = np.int32 if 2 * n * k < 2**31 else np.int64
+    cols = np.empty((n, k), dtype=itype)
+    cols[order] = idx[keep].reshape(n, k)
+    w = np.empty((n, k))
+    w[order] = (1.0 / np.maximum(dist[keep], floor)).reshape(n, k)
+    del tree, order, dist, idx, drop, keep
+    by_col = np.argsort(cols, axis=1)
+    adj = sp.csr_array((np.take_along_axis(w, by_col, axis=1).ravel(),
+                        np.take_along_axis(cols, by_col, axis=1).ravel(),
+                        np.arange(0, n * k + 1, k, dtype=itype)),
+                       shape=(n, n))  # weights finite and > 0
+    del cols, w, by_col
     adj = adj.maximum(adj.T)  # symmetric union; equal weights either way
     # on a symmetric graph the strong components are the components, and
     # the strong search needs no transpose

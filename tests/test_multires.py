@@ -1,10 +1,12 @@
 import json
+import threading
 
 import numpy as np
 import pytest
 
 from mqfb import filterbank as fb
 from mqfb import graphs as gb
+from mqfb import multires
 from mqfb.gft import FoldedBasis
 from mqfb.multires import (
     CorruptTree,
@@ -17,6 +19,7 @@ from mqfb.multires import (
     reconstruct,
     save_tree,
 )
+from mqfb.sparse_core import NotPositiveDefinite
 from mqfb.synthetic import gaussian_blob_cloud
 
 
@@ -66,6 +69,46 @@ class TestDecompose:
         for a, b in zip(t1.levels, t2.levels):
             np.testing.assert_array_equal(a.details, b.details)
             np.testing.assert_array_equal(a.partition.f, b.partition.f)
+
+    def test_knn_worker_is_joined(self, monkeypatch):
+        # at 20k points levels 1 and 2 build their KNN graphs on the worker
+        pc = gaussian_blob_cloud(20_000, seed=0)
+        assert pc.n // 4 > multires.PIPELINE_MIN_POINTS
+        before = threading.active_count()
+        knn_graph = gb.knn_graph
+        started, release = threading.Event(), threading.Event()
+        workers = set()
+
+        def held_knn(cloud, k):
+            if threading.current_thread() is not threading.main_thread():
+                workers.add(threading.get_ident())
+                started.set()
+                release.wait(timeout=60)
+            return knn_graph(cloud, k)
+
+        monkeypatch.setattr(gb, "knn_graph", held_knn)
+        release.set()
+        decompose(pc, fb.lazy_spec(), k=5, levels=3, seed=0)
+        assert len(workers) == 1
+        assert threading.active_count() == before
+
+        # level 0's context fails while level 1's KNN graph is in flight
+        started.clear()
+        release.clear()
+        in_flight = []
+
+        def failing_context(*args, **kwargs):
+            assert started.wait(timeout=60)
+            in_flight.append(threading.active_count())
+            release.set()
+            raise NotPositiveDefinite("boom")
+
+        monkeypatch.setattr(fb, "make_context", failing_context)
+        with pytest.raises(NotPositiveDefinite, match=r"^level 0: boom$") as e:
+            decompose(pc, fb.lazy_spec(), k=5, levels=3, seed=0)
+        assert e.type is NotPositiveDefinite
+        assert in_flight == [before + 1]
+        assert threading.active_count() == before
 
 
 class TestReconstruct:
@@ -328,23 +371,31 @@ class TestTreeSerialization:
         assert modes == ["dense", "dense"]
 
     @pytest.mark.parametrize("baseline", [False, True])
-    def test_roundtrip_bit_exact_at_20k(self, tmp_path, baseline):
+    def test_roundtrip_bit_exact_at_20k(self, tmp_path, baseline,
+                                        monkeypatch):
         pc = gaussian_blob_cloud(20_000, seed=0)
         tree = decompose(pc, fb.lazy_spec(), k=5, levels=4, seed=0,
                          baseline=baseline)
+        # levels 1 and 2 built their KNN graphs on the worker thread; the
+        # same call with every graph built inline gives the same tree
+        assert pc.n // 4 > multires.PIPELINE_MIN_POINTS
+        monkeypatch.setattr(multires, "PIPELINE_MIN_POINTS", pc.n + 1)
+        inline = decompose(pc, fb.lazy_spec(), k=5, levels=4, seed=0,
+                           baseline=baseline)
         save_tree(tree, tmp_path / "tree")
         assert sorted(p.name for p in (tmp_path / "tree").iterdir()) == [
             "meta.json", "tree.npz"]
         loaded = load_tree(tmp_path / "tree")
-        assert loaded.meta == tree.meta
-        np.testing.assert_array_equal(loaded.root, tree.root)
-        assert len(loaded.levels) == len(tree.levels) == 4
-        for a, b in zip(loaded.levels, tree.levels):
-            for part in ("indptr", "indices", "data"):
-                np.testing.assert_array_equal(getattr(a.adjacency, part),
-                                              getattr(b.adjacency, part))
-            np.testing.assert_array_equal(a.partition.f, b.partition.f)
-            np.testing.assert_array_equal(a.details, b.details)
+        assert loaded.meta == tree.meta == inline.meta
+        assert len(loaded.levels) == len(inline.levels) == len(tree.levels) == 4
+        for other in (loaded, inline):
+            np.testing.assert_array_equal(other.root, tree.root)
+            for a, b in zip(other.levels, tree.levels):
+                for part in ("indptr", "indices", "data"):
+                    np.testing.assert_array_equal(getattr(a.adjacency, part),
+                                                  getattr(b.adjacency, part))
+                np.testing.assert_array_equal(a.partition.f, b.partition.f)
+                np.testing.assert_array_equal(a.details, b.details)
         np.testing.assert_array_equal(reconstruct(loaded), reconstruct(tree))
 
     def test_checksum_catches_a_rewritten_array(self, tmp_path):
