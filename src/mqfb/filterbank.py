@@ -9,6 +9,10 @@ product with each off-diagonal block of M and one solve with each of M_AA
 and M_BB per degree), with no eigenbasis and no spectral bound.  The lazy
 bank is the degree-1 recurrence, which is the lifting step: one product
 with M_BA and one solve with M_BB, and M_AA is never factored.
+A context cuts those blocks from the adjacency W (graphs.Operator),
+checks the A block on W_AA with no factor (the normalized M_AA by its
+congruence to the combinatorial one) and builds the n x n M and Q only
+on first use, for dense mode and the checkers.
 Ships the lazy biorthogonal design and the orthogonal cosine design (poly
 by default, as its degree-12 Chebyshev interpolant; dense mode keeps the
 closed form as the reference), plus checkers for perfect reconstruction,
@@ -31,7 +35,9 @@ from .gft import (
     gft_inverse,
     mq_eigendecompose,
 )
+from .graphs import Operator
 from .sparse_core import (
+    NotPositiveDefinite,
     SpdSolver,
     build_block_diag_q,
     check_positive_definite,
@@ -208,6 +214,10 @@ class ChannelCoefficients:
 class FilterContext:
     """Everything needed to apply spectral filters for one (M, partition).
 
+    ``m`` is a graphs.Operator or a plain symmetric matrix, split into an
+    Operator's parts when needed; the assembled M (``ctx.m``) and the
+    block-diagonal Q (``ctx.q``) are built on first use.
+
     Dense mode carries a basis with ``lam``, ``forward`` and ``inverse``:
     from make_context a FoldedBasis (sparse Cholesky factors of M_AA and
     M_BB and the dense SVD factors of the folded pencil, about n^2 / 2
@@ -216,17 +226,19 @@ class FilterContext:
     and stops at the dense cap.  Poly mode carries ``m_ba`` (M_BA) and
     ``solver_b`` (the factor of M_BB), which every poly filter reads;
     ``solver_a``, the factor of M_AA that filters of degree 2 and up (or
-    with a degree-1 A-side term) need, and the block-diagonal Q
-    (checkers) are built on first use.  Poly filters solve with Q by
-    blocks, with those two factors and never a factor of the n x n Q (so
-    they use the block-diagonal Q of M even when a different ``q`` was
-    passed in).
+    with a degree-1 A-side term) need, is built on first use from W_AA.
+    Poly filters solve with Q by blocks, with those two factors and never
+    a factor of the n x n Q (so they use the block-diagonal Q of M even
+    when a different ``q`` was passed in).
     ``degree_scale`` holds the graph degrees, whose square roots a
     ZeroDcSpec scales by (a degree of 0 scales by 1).
     """
 
     def __init__(self, m, partition, mode, q=None, basis=None, degree_scale=None):
-        self.m = sp.csr_array(m)
+        if isinstance(m, Operator):
+            self.operator = m
+        else:
+            self.m = sp.csr_array(m)
         self.partition = partition
         self.mode = mode
         self.basis = basis
@@ -238,6 +250,14 @@ class FilterContext:
     def n(self):
         return self.partition.n
 
+    @functools.cached_property
+    def operator(self):
+        return Operator.of_matrix(self.m)
+
+    @functools.cached_property
+    def m(self):
+        return self.operator.matrix()
+
     @property
     def q(self):
         if self._q is None:
@@ -245,26 +265,50 @@ class FilterContext:
         return self._q
 
     @functools.cached_property
+    def _w_aa(self):
+        a = self.partition.a_idx
+        return self.operator.adjacency[a][:, a]
+
+    @functools.cached_property
     def solver_a(self):
-        return SpdSolver(extract_principal_block(self.m, self.partition.a_idx))
+        a = self.partition.a_idx
+        return _named("M_AA", SpdSolver,
+                      self.operator.principal_block(self._w_aa, a))
+
+
+def _named(block, build, *args):
+    """build(*args); a NotPositiveDefinite it raises names ``block``."""
+    try:
+        return build(*args)
+    except NotPositiveDefinite as e:
+        raise type(e)(f"{block}: {e}") from e
 
 
 def make_context(m, partition, mode="poly", degrees=None):
     """Build a FilterContext for Q = block-diagonal of M under the partition.
 
-    Raises NotPositiveDefinite when Q is not positive definite.  Poly mode
-    decides this without Q: the A block by structure (or one factor when
-    its structure is not Laplacian-like), the B block by the factor of
-    M_BB that the context keeps.
+    Raises NotPositiveDefinite, naming the block (M_AA or M_BB), when Q is
+    not positive definite.  Poly mode slices W's B rows once into W_BA and
+    W_BB: M_BA is W_BA negated or scaled, and M_BB goes to SpdSolver as its
+    own CSC.  The A block is decided with no factor, by Taussky's test on
+    diag(c_A) - W_AA (see Operator: c is the degrees for both Laplacians);
+    only a plain matrix that is not Laplacian-like has M_AA factored.
     """
     ctx = FilterContext(m, partition, mode, degree_scale=degrees)
     if mode == "dense":
         ctx.basis = mq_eigendecompose(ctx.m, ctx.q, partition=partition)
     elif mode == "poly":
-        check_positive_definite(extract_principal_block(ctx.m, partition.a_idx))
-        rows_b = ctx.m[partition.b_idx]
-        ctx.m_ba = sp.csr_array(rows_b[:, partition.a_idx])
-        ctx.solver_b = SpdSolver(rows_b[:, partition.b_idx])
+        op, a, b = ctx.operator, partition.a_idx, partition.b_idx
+        w_b = op.adjacency[b]
+        w_ba, w_bb = w_b[:, a], w_b[:, b]
+        if op.adjacency.nnz == 2 * w_ba.nnz + w_bb.nnz:  # no edge within A
+            ctx._w_aa = sp.csr_array((a.size, a.size))
+        if not _named("M_AA", check_positive_definite,
+                      op.congruent_diag[a], ctx._w_aa):
+            ctx.solver_a  # the structure does not decide; the factor does
+        w_ba.data = op.off(w_ba, b, a)
+        ctx.m_ba = w_ba
+        ctx.solver_b = _named("M_BB", SpdSolver, op.principal_block(w_bb, b))
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return ctx

@@ -168,8 +168,9 @@ def mq_eigendecompose(m, q, partition=None):
     return GftBasis(u=u, lam=lam, q=q_sparse)
 
 
-def _cholesky(block):
-    """Lower Cholesky factor of a dense SPD block, or NotPositiveDefinite.
+def _cholesky(block, name):
+    """Lower Cholesky factor of a dense SPD block, or NotPositiveDefinite
+    naming the block.
 
     A singular PSD block (a graph component wholly on one side) can factor
     with a roundoff-scale pivot; it is rejected at the relative pivot size
@@ -178,10 +179,11 @@ def _cholesky(block):
     try:
         low = scipy.linalg.cholesky(block, lower=True)
     except scipy.linalg.LinAlgError as e:
-        raise NotPositiveDefinite(str(e)) from e
+        raise NotPositiveDefinite(f"{name}: {e}") from e
     piv = np.diagonal(low) ** 2
     if np.min(piv) <= 1e-13 * np.max(piv):
-        raise NotPositiveDefinite("Cholesky factor has a vanishing pivot")
+        raise NotPositiveDefinite(
+            f"{name}: Cholesky factor has a vanishing pivot")
     return low
 
 
@@ -199,8 +201,8 @@ def _folded_basis(m, q, partition):
             "Q is not the block-diagonal of M under the partition")
     a, b = partition.a_idx, partition.b_idx
     rows_a = m[a]
-    la = _cholesky(rows_a[:, a].toarray())
-    lb = _cholesky(m[b][:, b].toarray())
+    la = _cholesky(rows_a[:, a].toarray(), "M_AA")
+    lb = _cholesky(m[b][:, b].toarray(), "M_BB")
     t = scipy.linalg.solve_triangular(la, rows_a[:, b].toarray(), lower=True)
     t = scipy.linalg.solve_triangular(lb, t.T, lower=True).T
     lat, lbt = sp.csr_array(la.T), sp.csr_array(lb.T)

@@ -1,8 +1,9 @@
 """Graph and variation-operator construction from point clouds.
 
 Covers PLY ingestion, symmetric KNN graphs with inverse-distance weights,
-combinatorial and normalized Laplacians, random bipartitions (repaired to
-meet every connected component) and the bipartized baseline (cross edges).
+combinatorial and normalized Laplacians (as Operators or assembled),
+random bipartitions (repaired to meet every connected component) and the
+bipartized baseline (cross edges).
 """
 
 from __future__ import annotations
@@ -289,10 +290,76 @@ def _diagonal_plus(diag, off, w):
     return sp.diags_array(diag, format="csr") + x
 
 
+@dataclass(frozen=True)
+class Operator:
+    """Variation operator M = diag(``diag``) + O, held as its parts.
+
+    O lies on the pattern of the symmetric ``adjacency`` W (no diagonal):
+    O = -W, or O = -S W S with S = diag(``scale``), so a block of M is cut
+    from W's block.  M = S (diag(c) - W) S with c = ``congruent_diag``.
+    """
+
+    diag: np.ndarray
+    adjacency: sp.csr_array
+    scale: np.ndarray | None = None
+
+    @property
+    def congruent_diag(self):
+        return self.diag if self.scale is None else self.diag / self.scale**2
+
+    @classmethod
+    def of_matrix(cls, m):
+        """A symmetric matrix split into its diagonal and W = -(the rest)."""
+        m = sp.csr_array(m, copy=True)
+        m.sum_duplicates()
+        w = keep_entries(m, lambda i, j: i != j)
+        w.eliminate_zeros()
+        return cls(m.diagonal(), -w)
+
+    def off(self, w, rows=slice(None), cols=slice(None), transpose=False):
+        """O's values on ``w`` = W[rows][:, cols], in ``w``'s entry order;
+        ``transpose`` gives O's values at the mirrored entries, so ``w``'s
+        pattern with them is the transpose of O's block, bit for bit."""
+        if self.scale is None:
+            return -w.data
+        r = np.repeat(self.scale[rows], np.diff(w.indptr))
+        c = self.scale[cols][w.indices]
+        return -(w.data * c * r) if transpose else -(w.data * r * c)
+
+    def matrix(self):
+        """M assembled as one canonical CSR."""
+        w = self.adjacency
+        return _diagonal_plus(self.diag, self.off(w), w)
+
+    def principal_block(self, w, idx):
+        """M[idx][:, idx] as CSC, from ``w`` = W[idx][:, idx]: the CSR of
+        its transpose, transposed without a copy, bit-equal to the CSC of
+        the block cut from the assembled M."""
+        return _diagonal_plus(self.diag[idx], self.off(w, idx, idx, True), w).T
+
+
+def combinatorial_operator(g):
+    """D - W, as an Operator."""
+    return Operator(g.degrees, g.adjacency)
+
+
+def normalized_operator(g, allow_isolated=False):
+    """I - D^{-1/2} W D^{-1/2}, as an Operator; see normalized_laplacian.
+
+    An isolated vertex's scale is 1: it has no entry of W to scale, and
+    its congruent diagonal entry is then 1, the row it keeps.
+    """
+    d = g.degrees
+    iso = d <= 0
+    if np.any(iso) and not allow_isolated:
+        raise ZeroDegree(f"{int(iso.sum())} isolated vertices")
+    return Operator(np.ones(g.n), g.adjacency,
+                    1.0 / np.sqrt(np.where(iso, 1.0, d)))
+
+
 def combinatorial_laplacian(g):
     """L = D - W."""
-    w = g.adjacency
-    return _diagonal_plus(g.degrees, -w.data, w)
+    return combinatorial_operator(g).matrix()
 
 
 def normalized_laplacian(g, allow_isolated=False):
@@ -302,15 +369,7 @@ def normalized_laplacian(g, allow_isolated=False):
     raise, but the bipartite-baseline path sets their row/column to the
     identity row (allow_isolated=True).
     """
-    d = g.degrees
-    iso = d <= 0
-    if np.any(iso) and not allow_isolated:
-        raise ZeroDegree(f"{int(iso.sum())} isolated vertices")
-    dis = np.zeros_like(d)
-    dis[~iso] = 1.0 / np.sqrt(d[~iso])
-    w = g.adjacency
-    scaled = w.data * np.repeat(dis, np.diff(w.indptr)) * dis[w.indices]
-    return _diagonal_plus(np.ones(g.n), -scaled, w)
+    return normalized_operator(g, allow_isolated).matrix()
 
 
 def random_partition(n, seed):

@@ -10,7 +10,7 @@ a directory of two files: meta.json and one uncompressed tree.npz.
 
 decompose overlaps two stages: once level ell's partition is repaired,
 level ell+1's points are fixed, and their KNN graph (int32 indices) is
-built on one worker thread while level ell builds its Laplacian, factors
+built on one worker thread while level ell builds its context, factors
 and filters on the calling thread.  Levels under PIPELINE_MIN_POINTS build
 their graphs inline.  Every other step keeps its sequential order on the
 calling thread, so outputs are bit-identical to an all-inline run.  No
@@ -79,10 +79,10 @@ def _level_context(ell, adjacency, partition, meta):
     try:
         g = gb.Graph(adjacency)
         if meta["operator"] == "norm":
-            m = gb.normalized_laplacian(g, allow_isolated=meta["baseline"])
+            op = gb.normalized_operator(g, allow_isolated=meta["baseline"])
         else:
-            m = gb.combinatorial_laplacian(g)
-        return fb.make_context(m, partition, mode=meta["mode"],
+            op = gb.combinatorial_operator(g)
+        return fb.make_context(op, partition, mode=meta["mode"],
                                degrees=g.degrees)
     except ValueError as e:
         raise type(e)(f"level {ell}: {e}") from e

@@ -3,7 +3,8 @@
 Matrices are plain ``scipy.sparse`` CSR/CSC arrays; this module adds the
 operations the filter-bank pipeline needs on top of them: principal-block
 extraction by vertex subset, assembly of the block-diagonal inner-product
-matrix, and a positive-definite solver (sparse LU in symmetric mode).
+matrix, a positive-definite solver (sparse LU in symmetric mode) and a
+factorization-free definiteness test for Laplacian-like blocks.
 """
 
 from __future__ import annotations
@@ -57,17 +58,13 @@ def build_block_diag_q(m, partition):
     return sp.csr_array(q)
 
 
-def _is_diagonal(m):
-    coo = sp.coo_array(m)
-    return np.all(coo.row == coo.col)
-
-
 class SpdSolver:
     """Solver for S z = y with S symmetric positive definite.
 
     Factorizes once with sparse LU in symmetric mode and checks positive
-    definiteness from the signs of the U diagonal.  Diagonal matrices take
-    a fast reciprocal path.
+    definiteness from the signs of the U diagonal.  A CSC ``matrix`` is
+    used as it is, with no copy; a diagonal one (n stored entries, all on
+    the diagonal) takes a fast reciprocal path.
 
     The factor is column by column (``panel_size=1``): graph blocks fill
     only about 1.8x their nnz, too little for SuperLU's default 20-column
@@ -81,10 +78,10 @@ class SpdSolver:
         self.n = matrix.shape[0]
         self._diag = None
         self._lu = None
-        if _is_diagonal(matrix):
-            d = matrix.diagonal()
-            if np.any(d <= 0):
-                raise NotPositiveDefinite("nonpositive diagonal entry")
+        d = matrix.diagonal()
+        if np.any(d <= 0) or not np.all(np.isfinite(d)):
+            raise NotPositiveDefinite("nonpositive diagonal entry")
+        if matrix.nnz == self.n:  # the n diagonal entries are all it stores
             self._diag = d
         else:
             try:
@@ -116,37 +113,35 @@ class SpdSolver:
         return self._lu.solve(y)
 
 
-def check_positive_definite(matrix):
-    """Raise NotPositiveDefinite unless the symmetric ``matrix`` is PD.
+def check_positive_definite(diag, w):
+    """Decide from structure whether diag(``diag``) - ``w`` is positive
+    definite: raise NotPositiveDefinite when it is not, return True when it
+    is, and return False when the structure does not decide.
 
-    Diagonal matrices and weakly diagonally dominant matrices with
-    nonpositive off-diagonals (principal blocks of a combinatorial
-    Laplacian) are decided from their structure, without a factorization:
-    such a matrix is singular exactly when one of its connected components
-    has no strictly dominant row (Taussky's theorem), which for a Laplacian
-    block means a whole connected component of the graph lies inside the
-    block.  Any other matrix is factored once by SpdSolver.
+    ``w`` is symmetric CSR with no diagonal.  When its entries are positive
+    and every row is weakly dominant (``diag`` at least the row's sum, as
+    in a principal block of a combinatorial Laplacian), the matrix is
+    singular exactly when one of its connected components has no strictly
+    dominant row (Taussky's theorem), which for a Laplacian block means a
+    whole connected component of the graph lies inside the block.
     """
     tol = 1e-12  # relative to the diagonal: roundoff of a Laplacian row sum
-    s = sp.csr_array(matrix, copy=True)
-    s.sum_duplicates()
-    s.eliminate_zeros()
-    d = s.diagonal()
-    if np.any(d <= 0) or not np.all(np.isfinite(d)):
+    if np.any(diag <= 0) or not np.all(np.isfinite(diag)):
         raise NotPositiveDefinite("nonpositive diagonal entry")
-    if s.nnz == d.size:
-        return
-    slack = s.sum(axis=1)  # diagonal minus |off-diagonal| row sum
-    if np.count_nonzero(s.data > 0) == d.size and np.all(slack >= -tol * d):
-        n_comp, labels = csgraph.connected_components(s, directed=False)
-        strict = np.bincount(labels, weights=slack > tol * d, minlength=n_comp)
-        if np.any(strict == 0):
-            raise NotPositiveDefinite(
-                "a connected component of the block has no strictly "
-                "dominant row, so the block is singular"
-            )
-        return
-    SpdSolver(s)
+    if w.nnz == 0:
+        return True
+    slack = diag - w.sum(axis=1)
+    if np.any(w.data <= 0) or np.any(slack < -tol * diag):
+        return False
+    # w is symmetric, so its strong components are its components
+    n_comp, labels = csgraph.connected_components(w, connection="strong")
+    strict = np.bincount(labels, weights=slack > tol * diag, minlength=n_comp)
+    if np.any(strict == 0):
+        raise NotPositiveDefinite(
+            "a connected component of the block has no strictly "
+            "dominant row, so the block is singular"
+        )
+    return True
 
 
 def save_matrix_market(path, m):

@@ -15,7 +15,13 @@ from mqfb.cli import (
     EXIT_OK,
     main,
 )
-from mqfb.multires import decompose, linear_approximation, load_tree, save_tree
+from mqfb.multires import (
+    decompose,
+    linear_approximation,
+    load_tree,
+    reconstruct,
+    save_tree,
+)
 from mqfb.sparse_core import NotPositiveDefinite
 
 
@@ -131,7 +137,10 @@ def test_decompose_names_the_level_past_the_dense_cap(tmp_path, capsys):
     assert "level 0: n=6000 exceeds dense cap 4096" in capsys.readouterr().err
 
 
-def test_reconstruct_names_the_failing_level(tmp_path, capsys):
+def _saved_tree_with_a_component_on(side, path):
+    """A saved 2-level tree whose level-1 partition puts one whole
+    connected component on ``side`` (+1 for A, -1 for B); returns the
+    attributes."""
     # four separated clusters, so level 1 has several components
     rng = np.random.default_rng(0)
     pos = (100.0 * np.arange(4)[:, None, None]
@@ -139,17 +148,22 @@ def test_reconstruct_names_the_failing_level(tmp_path, capsys):
     colors = rng.uniform(0, 255, (240, 3))
     tree = decompose(gb.PointCloud(pos, colors), fb.lazy_spec(), k=4,
                      levels=2, seed=0)
-    # move one whole component to side B, and as many B vertices of other
-    # components to side A, so both sides keep their sizes
+    # move the component onto the side, and as many of that side's
+    # vertices of other components off it, so both sides keep their sizes
     lv = tree.levels[1]
     _, labels = csgraph.connected_components(lv.adjacency, directed=False)
     f = lv.partition.f.copy()
-    on_a = np.flatnonzero((labels == labels[0]) & (f == 1))
-    elsewhere_b = np.flatnonzero((labels != labels[0]) & (f == -1))
-    f[on_a] = -1
-    f[elsewhere_b[:on_a.size]] = 1
+    off_side = np.flatnonzero((labels == labels[0]) & (f == -side))
+    elsewhere = np.flatnonzero((labels != labels[0]) & (f == side))
+    f[off_side] = side
+    f[elsewhere[:off_side.size]] = -side
     lv.partition = gb.Partition(f)
-    save_tree(tree, tmp_path / "t")
+    save_tree(tree, path)
+    return colors
+
+
+def test_reconstruct_names_the_failing_level(tmp_path, capsys):
+    colors = _saved_tree_with_a_component_on(-1, tmp_path / "t")
     with pytest.raises(NotPositiveDefinite, match="^level 1: "):
         linear_approximation(load_tree(tmp_path / "t"), 0.5, colors)
     capsys.readouterr()
@@ -157,6 +171,19 @@ def test_reconstruct_names_the_failing_level(tmp_path, capsys):
                  "--out", str(tmp_path / "rec.bin")])
     assert code == EXIT_NUMERICAL
     assert "numerical failure: level 1: " in capsys.readouterr().err
+
+
+def test_reconstruct_checks_side_a_of_a_loaded_tree(tmp_path, capsys):
+    """A whole component on side A makes M_AA singular: the A-side check
+    still guards a loaded tree, and the error names the level and block."""
+    _saved_tree_with_a_component_on(1, tmp_path / "t")
+    with pytest.raises(NotPositiveDefinite, match="^level 1: M_AA: "):
+        reconstruct(load_tree(tmp_path / "t"))
+    capsys.readouterr()
+    code = main(["reconstruct", "--input", str(tmp_path / "t"),
+                 "--out", str(tmp_path / "rec.bin")])
+    assert code == EXIT_NUMERICAL == 4
+    assert "level 1: M_AA: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("baseline, want", [("none", "comb"),
@@ -298,3 +325,4 @@ def test_reconstruct_incomplete_meta(saved_tree, tmp_path, capsys, key):
     code, err = _reconstruct(tree_dir, tmp_path, capsys)
     assert code == EXIT_IO
     assert str(meta_path) in err and repr(key) in err
+

@@ -24,8 +24,13 @@ from mqfb.filterbank import (
 from mqfb.graphs import (
     Graph,
     Partition,
+    bipartize,
     combinatorial_laplacian,
+    combinatorial_operator,
+    knn_graph,
+    meet_every_component,
     normalized_laplacian,
+    normalized_operator,
     random_partition,
 )
 from mqfb.sparse_core import NotPositiveDefinite, build_block_diag_q
@@ -290,6 +295,72 @@ class TestLifting:
             assert accepted == pd
             outcomes.add(accepted)
         assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("form", ["operator", "matrix"])
+    def test_acceptance_matches_q_definiteness_normalized(self, form):
+        # the normalized M_AA is congruent to the combinatorial one, so the
+        # operator's A block is decided by the same test, with no factor
+        rng = np.random.default_rng(41)
+        blocks = [random_connected_graph(int(rng.integers(2, 6)), seed=s).adjacency
+                  for s in range(12)]
+        g = Graph(sp.csr_array(sp.block_diag(blocks)))
+        m = normalized_laplacian(g)
+        op = normalized_operator(g) if form == "operator" else m
+        outcomes = set()
+        for seed in range(40):
+            p = random_partition(g.n, seed)
+            pd = q_min_eigenvalue(m, p) > 1e-10
+            try:
+                ctx = make_context(op, p, mode="poly")
+                accepted = True
+            except NotPositiveDefinite:
+                accepted = False
+            assert accepted == pd
+            if accepted and form == "operator":
+                assert "solver_a" not in vars(ctx)
+            outcomes.add(accepted)
+        assert outcomes == {True, False}
+
+
+@pytest.fixture(scope="module")
+def graph_20k():
+    """The level-0 KNN graph of a 20k cloud and its repaired partition."""
+    g = knn_graph(gaussian_blob_cloud(20_000, seed=0), 5)
+    return g, meet_every_component(random_partition(g.n, 0), g.meta["labels"])
+
+
+@pytest.mark.parametrize("name", ["comb", "norm", "bipartized-norm"])
+def test_blocks_from_the_graph_equal_laplacian_slices(graph_20k, name,
+                                                      monkeypatch):
+    """M_BA, M_BB and the ortho bank's M_AA, cut from W, are bit-equal to
+    the blocks cut from the assembled Laplacian: the CSR M_BA the context
+    keeps, and the CSC blocks SpdSolver factors."""
+    g, p = graph_20k
+    if name == "comb":
+        op, lap = combinatorial_operator(g), combinatorial_laplacian(g)
+    else:
+        if name == "bipartized-norm":
+            g = bipartize(g, p)
+        op = normalized_operator(g, allow_isolated=True)
+        lap = normalized_laplacian(g, allow_isolated=True)
+    factored = []
+    real = fb.SpdSolver
+
+    def recording(matrix):
+        factored.append(matrix)
+        return real(matrix)
+
+    monkeypatch.setattr(fb, "SpdSolver", recording)
+    ctx = make_context(op, p, mode="poly")
+    ctx.solver_a
+    a, b = p.a_idx, p.b_idx
+    want = [sp.csr_array(lap[b][:, a]), sp.csc_array(lap[b][:, b]),
+            sp.csc_array(lap[a][:, a])]
+    for got, ref in zip([ctx.m_ba] + factored, want, strict=True):
+        assert got.format == ref.format
+        for attr in ("indptr", "indices", "data"):
+            x, y = getattr(got, attr), getattr(ref, attr)
+            assert x.dtype == y.dtype and np.array_equal(x, y), attr
 
 
 class TestCheckPr:

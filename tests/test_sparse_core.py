@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from mqfb.filterbank import make_context
 from mqfb.sparse_core import (
     EmptyBlock,
     NotPositiveDefinite,
@@ -185,7 +186,8 @@ class TestCheckPositiveDefinite:
             sp.csr_array(np.array([[0, 1.0, 0], [1, 0, 2], [0, 2, 0]])),
             sp.csr_array(np.array([[0, 3.0], [3, 0]])),
         ]))
-        lap = sp.csr_array(sp.diags(np.asarray(w.sum(axis=1)).ravel()) - w)
+        d = w.sum(axis=1)
+        lap = sp.csr_array(sp.diags(d) - w)
         for _ in range(30):
             s = np.flatnonzero(rng.random(5) < 0.6)
             if s.size == 0:
@@ -193,21 +195,28 @@ class TestCheckPositiveDefinite:
             block = extract_principal_block(lap, s)
             pd = np.linalg.eigvalsh(block.toarray()).min() > 1e-12
             if pd:
-                check_positive_definite(block)
+                assert check_positive_definite(d[s], w[s][:, s]) is True
             else:
                 with pytest.raises(NotPositiveDefinite):
-                    check_positive_definite(block)
+                    check_positive_definite(d[s], w[s][:, s])
 
     def test_diagonal(self):
-        check_positive_definite(sp.diags([1.0, 2.0]))
+        assert check_positive_definite(np.array([1.0, 2.0]),
+                                       sp.csr_array((2, 2))) is True
         with pytest.raises(NotPositiveDefinite):
-            check_positive_definite(sp.diags([1.0, 0.0]))
+            check_positive_definite(np.array([1.0, 0.0]), sp.csr_array((2, 2)))
 
     def test_other_structure_is_factored(self):
-        # positive off-diagonals: not a Laplacian block
-        check_positive_definite(sp.csr_array(np.array([[1.0, 0.9], [0.9, 1]])))
-        with pytest.raises(NotPositiveDefinite):
-            check_positive_definite(sp.csr_array(np.array([[1.0, 2], [2, 1]])))
+        # positive off-diagonals: not a Laplacian block, so the structure
+        # does not decide, and make_context factors such an M_AA instead
+        w = sp.csr_array(np.array([[0, -0.9], [-0.9, 0]]))
+        assert check_positive_definite(np.ones(2), w) is False
+        m = np.array([[1.0, 0.9, -0.1], [0.9, 1, -0.1], [-0.1, -0.1, 1]])
+        p = Partition([1, 1, -1])
+        assert "solver_a" in vars(make_context(sp.csr_array(m), p))
+        m[0, 1] = m[1, 0] = 2.0
+        with pytest.raises(NotPositiveDefinite, match="^M_AA: "):
+            make_context(sp.csr_array(m), p)
 
 
 class TestSpmv:
