@@ -12,13 +12,7 @@ for 3D point-cloud attributes.
 
 __version__ = "0.1.0"
 
-from .sparse_core import (
-    EmptyBlock,
-    NotPositiveDefinite,
-    SpdSolver,
-    build_block_diag_q,
-    extract_principal_block,
-)
+from .sparse_core import NotPositiveDefinite, SpdSolver, build_block_diag_q
 from .graphs import (
     Partition,
     PointCloud,

@@ -28,21 +28,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .gft import (
-    _columns,
-    dense_spectral_filter,
-    gft_forward,
-    gft_inverse,
-    mq_eigendecompose,
-)
+from .gft import _columns, gft_forward, gft_inverse, mq_eigendecompose
+# not called here; perfbench's tracer wraps dense filtering under this name
+from .gft import dense_spectral_filter  # noqa: F401
 from .graphs import Operator
 from .sparse_core import (
     NotPositiveDefinite,
     SpdSolver,
     build_block_diag_q,
     check_positive_definite,
-    extract_principal_block,
-    spmv,
 )
 
 
@@ -354,20 +348,6 @@ def _series(*kernels):
     return [np.pad(c, (0, size - c.size)) for c in cs]
 
 
-def apply_kernel(ctx, kernel, x):
-    """Apply the spectral filter with the given scalar kernel to x."""
-    if ctx.mode == "dense":
-        return dense_spectral_filter(ctx.basis, kernel, x)
-    if not kernel.is_polynomial:
-        raise NotPolynomial("poly context cannot apply non-polynomial kernel")
-    c = kernel.chebyshev
-    x = np.asarray(x, dtype=np.float64)
-    a, b = ctx.partition.a_idx, ctx.partition.b_idx
-    y = np.empty_like(x)
-    y[a], y[b] = _chebyshev(ctx, x[a], x[b], c, c)
-    return y
-
-
 def _dense_analyze(ctx, h0, h1, x):
     """(U h0(Lam) U^T Q x)_A and (U h1(Lam) U^T Q x)_B from one forward GFT
     and one inverse GFT of both channels side by side."""
@@ -531,20 +511,15 @@ def check_pr(spec, ctx, trials=10, seed=0, tol=None):
     return report
 
 
-def _q_blocks(ctx):
-    qa = extract_principal_block(ctx.q, ctx.partition.a_idx)
-    qb = extract_principal_block(ctx.q, ctx.partition.b_idx)
-    return qa, qb
-
-
 def coeff_q_inner(ctx, c1, c2):
     """Q-inner product on channel coefficients (Q permuted to block order)."""
-    qa, qb = _q_blocks(ctx)
-    return float(c2.a @ spmv(qa, c1.a) + c2.d @ spmv(qb, c1.d))
+    a, b = ctx.partition.a_idx, ctx.partition.b_idx
+    qa, qb = ctx.q[a][:, a], ctx.q[b][:, b]
+    return float(c2.a @ (qa @ c1.a) + c2.d @ (qb @ c1.d))
 
 
 def q_inner(q, x, y):
-    return float(y @ spmv(q, x))
+    return float(y @ (q @ x))
 
 
 def check_q_orthogonality(spec, ctx, trials=20, seed=0, tol=1e-8):
@@ -581,9 +556,9 @@ def check_q_orthogonality(spec, ctx, trials=20, seed=0, tol=1e-8):
     }
 
 
-def frame_bounds(spec, grid_points=10_000):
+def frame_bounds(spec):
     """(alpha, beta) from dense sampling of (h0^2 + h1^2)/2 on [0, 2]."""
     spec = spec.base if isinstance(spec, ZeroDcSpec) else spec
-    lam = np.linspace(0.0, 2.0, grid_points)
+    lam = np.linspace(0.0, 2.0, 10_000)
     s = 0.5 * (spec.h0(lam) ** 2 + spec.h1(lam) ** 2)
     return float(np.sqrt(np.min(s))), float(np.sqrt(np.max(s)))

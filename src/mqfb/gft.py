@@ -32,9 +32,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 import scipy.sparse.csgraph as csgraph
 
-from .sparse_core import NotPositiveDefinite, spmv
+from .sparse_core import NotPositiveDefinite
 
 DENSE_CAP_DEFAULT = 4096
+# eigenvalues this close count as one value: a degenerate group in the
+# folding check, and the multiplicities at lambda = 1 and at lambda_min
+EIGENVALUE_TIE_TOL = 1e-6
 
 
 class DenseCapExceeded(ValueError):
@@ -255,10 +258,10 @@ class FundamentalOperator:
         self.n = q_solver.n
 
     def apply(self, x):
-        return self.q_solver.solve(spmv(self.m, x))
+        return self.q_solver.solve(self.m @ x)
 
 
-def verify_spectral_folding(basis, partition, tol=1e-8, m=None, group_tol=1e-6):
+def verify_spectral_folding(basis, partition, tol=1e-8, m=None):
     """Check M (J u) = (2 - lambda) Q (J u) for every eigenpair.
 
     Degenerate eigenvalues are checked at the subspace level: J u is
@@ -276,7 +279,7 @@ def verify_spectral_folding(basis, partition, tol=1e-8, m=None, group_tol=1e-6):
     for k in range(basis.n):
         v = f * u[:, k]
         target = 2.0 - lam[k]
-        grp = np.flatnonzero(np.abs(lam - target) <= group_tol)
+        grp = np.flatnonzero(np.abs(lam - target) <= EIGENVALUE_TIE_TOL)
         if grp.size == 0:
             residuals[k] = np.inf
             continue
@@ -303,13 +306,13 @@ def verify_spectral_folding(basis, partition, tol=1e-8, m=None, group_tol=1e-6):
     return report
 
 
-def spectrum_properties(basis, partition, m=None, one_tol=1e-6):
+def spectrum_properties(basis, partition, m=None):
     """Spectrum range, lambda=1 count vs the forced multiplicity bound, and
     lambda_min multiplicity vs connected-component count (Laplacian M)."""
     lam = basis.lam
     na = partition.a_idx.size
     nb = partition.b_idx.size
-    ones = int(np.sum(np.abs(lam - 1.0) <= one_tol))
+    ones = int(np.sum(np.abs(lam - 1.0) <= EIGENVALUE_TIE_TOL))
     report = {
         "lambda_min": float(lam[0]),
         "lambda_max": float(lam[-1]),
@@ -326,7 +329,7 @@ def spectrum_properties(basis, partition, m=None, one_tol=1e-6):
             shape=m.shape,
         )
         n_comp = csgraph.connected_components(adj.tocsr(), directed=False)[0]
-        mult_min = int(np.sum(np.abs(lam - lam[0]) <= one_tol))
+        mult_min = int(np.sum(np.abs(lam - lam[0]) <= EIGENVALUE_TIE_TOL))
         report["components"] = int(n_comp)
         report["lambda_min_multiplicity"] = mult_min
     return report

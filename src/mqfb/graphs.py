@@ -155,6 +155,9 @@ def load_ply(path):
         vertex = next((e for e in elements if e[0] == "vertex"), None)
         if vertex is None:
             raise ValueError("PLY file has no vertex element")
+        if vertex is not elements[0]:
+            # vertex data is read right after the header
+            raise ValueError("PLY vertex element must come first")
         _, count, props = vertex
         if any(p[1] == "list" for p in props):
             raise ValueError("list properties on vertex element unsupported")
@@ -188,11 +191,12 @@ def load_ply(path):
     return PointCloud(positions, attrs)
 
 
-def save_ply(path, pc, binary=True):
-    """Write a point cloud as PLY; colors are emitted when channels == 3."""
+def save_ply(path, pc):
+    """Write a point cloud as binary little-endian PLY; colors are emitted
+    when channels == 3."""
     has_color = pc.channels == 3
-    fmt = "binary_little_endian" if binary else "ascii"
-    header = ["ply", f"format {fmt} 1.0", f"element vertex {pc.n}"]
+    header = ["ply", "format binary_little_endian 1.0",
+              f"element vertex {pc.n}"]
     header += [f"property double {c}" for c in "xyz"]
     if has_color:
         header += [f"property uchar {c}" for c in ("red", "green", "blue")]
@@ -207,14 +211,7 @@ def save_ply(path, pc, binary=True):
         rec["red"], rec["green"], rec["blue"] = rgb.T
     with open(path, "wb") as fh:
         fh.write(("\n".join(header) + "\n").encode("ascii"))
-        if binary:
-            rec.tofile(fh)
-        else:
-            for r in rec:
-                vals = [repr(float(r[c])) for c in "xyz"]
-                if has_color:
-                    vals += [str(int(r[c])) for c in ("red", "green", "blue")]
-                fh.write((" ".join(vals) + "\n").encode("ascii"))
+        rec.tofile(fh)
 
 
 # ---------------------------------------------------------------------------

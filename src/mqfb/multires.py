@@ -235,16 +235,16 @@ class ApproximationResult:
     psnr: np.ndarray  # per channel, dB
 
 
-def psnr(x, y, peak=255.0, cap=999.0):
-    """Per-channel 10 log10(peak^2 / MSE); exact match reports the cap."""
+def psnr(x, y, peak=255.0):
+    """Per-channel 10 log10(peak^2 / MSE), at most 999 dB (an exact match)."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
     if x.shape != y.shape:
         raise ValueError("shape mismatch")
     mse = np.mean((x - y) ** 2, axis=0)
-    out = np.full(mse.shape, cap)
+    out = np.full(mse.shape, 999.0)
     nz = mse > 0
-    out[nz] = np.minimum(10.0 * np.log10(peak**2 / mse[nz]), cap)
+    out[nz] = np.minimum(10.0 * np.log10(peak**2 / mse[nz]), 999.0)
     return out
 
 

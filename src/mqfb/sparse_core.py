@@ -1,10 +1,10 @@
-"""Symmetric sparse matrices, block extraction and SPD solves.
+"""Symmetric sparse matrices and SPD solves.
 
 Matrices are plain ``scipy.sparse`` CSR/CSC arrays; this module adds the
-operations the filter-bank pipeline needs on top of them: principal-block
-extraction by vertex subset, assembly of the block-diagonal inner-product
-matrix, a positive-definite solver (sparse LU in symmetric mode) and a
-factorization-free definiteness test for Laplacian-like blocks.
+operations the filter-bank pipeline needs on top of them: assembly of the
+block-diagonal inner-product matrix, a positive-definite solver (sparse LU
+in symmetric mode) and a factorization-free definiteness test for
+Laplacian-like blocks.
 """
 
 from __future__ import annotations
@@ -15,32 +15,8 @@ import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 
-class EmptyBlock(ValueError):
-    """Requested principal block over an empty vertex subset."""
-
-
 class NotPositiveDefinite(ValueError):
     """Factorization detected that the matrix is not positive definite."""
-
-
-def spmv(m, x):
-    """Sparse matrix-vector (or matrix-matrix) product with a dim check."""
-    x = np.asarray(x)
-    if x.shape[0] != m.shape[1]:
-        raise ValueError(f"dimension mismatch: {m.shape} @ {x.shape}")
-    return m @ x
-
-
-def extract_principal_block(m, s):
-    """Principal submatrix of ``m`` over vertex subset ``s``.
-
-    Indices inside the block follow ascending original vertex id.
-    """
-    s = np.asarray(s, dtype=np.int64)
-    if s.size == 0:
-        raise EmptyBlock("principal block requested for empty vertex subset")
-    s = np.sort(s)
-    return sp.csr_array(m.tocsr()[s][:, s])
 
 
 def build_block_diag_q(m, partition):

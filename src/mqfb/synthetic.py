@@ -8,24 +8,26 @@ import scipy.sparse as sp
 from .graphs import Graph, Partition, PointCloud
 
 
-def gaussian_blob_cloud(n, seed=0, blobs=8, spread=10.0, peak=255.0):
-    """Mixture-of-Gaussians positions with a smooth RGB color field.
+def gaussian_blob_cloud(n, seed=0):
+    """Mixture of 8 unit Gaussians, centred in [-10, 10]^3, with a smooth
+    RGB color field.
 
-    Colors vary sinusoidally with position, scaled into [0, peak], so the
+    Colors vary sinusoidally with position, scaled into [0, 255], so the
     attribute signal is smooth on any proximity graph.
     """
     rng = np.random.default_rng(seed)
-    centers = rng.uniform(-spread, spread, size=(blobs, 3))
-    labels = rng.integers(0, blobs, size=n)
+    centers = rng.uniform(-10.0, 10.0, size=(8, 3))
+    labels = rng.integers(0, 8, size=n)
     pos = centers[labels] + rng.standard_normal((n, 3))
     freqs = rng.uniform(0.05, 0.15, size=(3, 3))
     phases = rng.uniform(0, 2 * np.pi, size=3)
-    attrs = 0.5 * peak * (1.0 + np.sin(pos @ freqs.T + phases))
+    attrs = 127.5 * (1.0 + np.sin(pos @ freqs.T + phases))
     return PointCloud(pos, attrs)
 
 
-def random_connected_graph(n, p=0.1, seed=0, weighted=True):
-    """Erdos-Renyi graph made connected by chaining the components.
+def random_connected_graph(n, p=0.1, seed=0):
+    """Erdos-Renyi graph made connected by chaining the components, with
+    edge weights uniform in [0.5, 2].
 
     Edges missing for connectivity are added along a random spanning path,
     so the result is always connected without resampling loops.
@@ -51,7 +53,7 @@ def random_connected_graph(n, p=0.1, seed=0, weighted=True):
                     cols.append(max(prev, v))
                 seen[c] = v
                 prev = v
-    w = rng.uniform(0.5, 2.0, len(rows)) if weighted else np.ones(len(rows))
+    w = rng.uniform(0.5, 2.0, len(rows))
     adj = sp.coo_array((w, (rows, cols)), shape=(n, n)).tocsr()
     adj = adj + adj.T
     adj.setdiag(0)

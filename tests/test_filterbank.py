@@ -452,6 +452,11 @@ class TestQOrthogonality:
             ratio = np.sqrt(coeff_q_inner(ctx, c, c) / q_inner(ctx.q, x, x))
             assert alpha - 1e-6 <= ratio <= beta + 1e-6
 
+    def test_q_inner_rejects_a_mismatched_length(self):
+        ctx = comb_context(20, 12, mode="poly")
+        with pytest.raises(ValueError):
+            fb.q_inner(ctx.q, np.ones(21), np.ones(20))
+
     def test_orthogonal_implies_pr(self):
         spec = orthogonal_cosine_spec()
         for seed in range(5):
@@ -505,14 +510,22 @@ class TestZeroDc:
         xr = synthesize(spec, ctx, analyze(spec, ctx, x))
         assert np.linalg.norm(xr - x) <= 1e-8 * np.linalg.norm(x)
 
+    @staticmethod
+    def z_times(ctx, x):
+        """Z x from the poly context: with h0 = h1 = Z, analyze returns
+        a = (Z x)_A and d = (Z x)_B."""
+        z = Kernel(coeffs=(0.0, 1.0))
+        c = analyze(FilterBankSpec(h0=z, h1=z, g0=z, g1=z), ctx, x)
+        zx = np.empty(ctx.n)
+        zx[ctx.partition.a_idx], zx[ctx.partition.b_idx] = c.a, c.d
+        return zx
+
     def test_bipartite_fundamental_is_random_walk(self):
         g, p = random_bipartite_graph(30, seed=7)
         lap = combinatorial_laplacian(g)
         ctx = make_context(lap, p, mode="poly")
         x = np.random.default_rng(6).standard_normal(30)
-        from mqfb.filterbank import apply_kernel
-
-        zx = apply_kernel(ctx, Kernel(coeffs=(0.0, 1.0)), x)
+        zx = self.z_times(ctx, x)
         np.testing.assert_allclose(zx, (lap @ x) / g.degrees, atol=1e-10)
 
     def test_wrapped_normalized_operator_is_random_walk(self):
@@ -522,10 +535,7 @@ class TestZeroDc:
         ctx = make_context(normalized_laplacian(g), p, mode="poly")
         lap = combinatorial_laplacian(g)
         x = np.random.default_rng(7).standard_normal(30)
-        from mqfb.filterbank import apply_kernel
-
-        wrapped = apply_kernel(ctx, Kernel(coeffs=(0.0, 1.0)),
-                               np.sqrt(d) * x) / np.sqrt(d)
+        wrapped = self.z_times(ctx, np.sqrt(d) * x) / np.sqrt(d)
         np.testing.assert_allclose(wrapped, (lap @ x) / d, atol=1e-10)
 
     def test_missing_degrees_raises(self):

@@ -69,7 +69,7 @@ class TestPly:
         pc = PointCloud(rng.standard_normal((10, 3)),
                         rng.integers(0, 256, (10, 3)).astype(float))
         path = tmp_path / "rt.ply"
-        save_ply(path, pc, binary=True)
+        save_ply(path, pc)
         back = load_ply(path)
         np.testing.assert_array_equal(back.positions, pc.positions)
         np.testing.assert_array_equal(back.attributes, pc.attributes)
@@ -78,6 +78,22 @@ class TestPly:
         path = tmp_path / "bad.ply"
         path.write_text("not a ply\n")
         with pytest.raises(ValueError):
+            load_ply(path)
+
+    @pytest.mark.parametrize("fmt", ["ascii", "binary_little_endian"])
+    def test_vertex_after_another_element_is_rejected(self, tmp_path, fmt):
+        header = (f"ply\nformat {fmt} 1.0\nelement camera 1\n"
+                  "property float view_x\nproperty float view_y\n"
+                  "element vertex 2\nproperty double x\nproperty double y\n"
+                  "property double z\nend_header\n").encode("ascii")
+        if fmt == "ascii":
+            body = b"0.5 0.5\n0 0 0\n1 1 1\n"
+        else:
+            body = (np.array([0.5, 0.5], "<f4").tobytes()
+                    + np.array([[0.0, 0, 0], [1, 1, 1]], "<f8").tobytes())
+        path = tmp_path / "camera_first.ply"
+        path.write_bytes(header + body)
+        with pytest.raises(ValueError, match="vertex element must come first"):
             load_ply(path)
 
     def test_missing_coordinates(self, tmp_path):

@@ -5,15 +5,12 @@ import scipy.sparse.linalg as spla
 
 from mqfb.filterbank import make_context
 from mqfb.sparse_core import (
-    EmptyBlock,
     NotPositiveDefinite,
     SpdSolver,
     build_block_diag_q,
     check_positive_definite,
-    extract_principal_block,
     load_matrix_market,
     save_matrix_market,
-    spmv,
 )
 from mqfb.graphs import (
     Partition,
@@ -30,24 +27,6 @@ def triangle_laplacian():
 
 
 class TestExtractPrincipalBlock:
-    def test_triangle_subset(self):
-        block = extract_principal_block(triangle_laplacian(), [1, 2])
-        np.testing.assert_allclose(block.toarray(), [[2, -1], [-1, 2]])
-
-    def test_full_subset_is_identity_case(self):
-        m = triangle_laplacian()
-        block = extract_principal_block(m, [0, 1, 2])
-        np.testing.assert_array_equal(block.toarray(), m.toarray())
-
-    def test_scalar_block(self):
-        m = sp.csr_array(np.array([[1.0, -1], [-1, 1]]))
-        block = extract_principal_block(m, [0])
-        np.testing.assert_allclose(block.toarray(), [[1.0]])
-
-    def test_empty_subset_raises(self):
-        with pytest.raises(EmptyBlock):
-            extract_principal_block(triangle_laplacian(), [])
-
     def test_preserves_symmetry_and_psd(self):
         rng = np.random.default_rng(5)
         for seed in range(10):
@@ -55,7 +34,7 @@ class TestExtractPrincipalBlock:
             g = random_connected_graph(n, seed=seed)
             m = combinatorial_laplacian(g)
             s = rng.choice(n, size=max(2, n // 3), replace=False)
-            block = extract_principal_block(m, s)
+            block = m[s][:, s]
             assert (block != block.T).nnz == 0
             dense = block.toarray()
             w = np.linalg.eigvalsh(dense)
@@ -135,7 +114,7 @@ class TestSpdSolve:
             q = build_block_diag_q(m, Partition(f))
             solver = SpdSolver(q)
             x = rng.standard_normal(n)
-            err = np.linalg.norm(solver.solve(spmv(q, x)) - x)
+            err = np.linalg.norm(solver.solve(q @ x) - x)
             assert err <= 1e-9 * np.linalg.norm(x)
 
     def test_rhs_dim_mismatch(self):
@@ -156,7 +135,7 @@ class TestSpdSolverAtScale:
 
     def test_matches_default_panel_factor(self, level):
         m, p, _ = level
-        m_bb = sp.csc_array(extract_principal_block(m, p.b_idx))
+        m_bb = sp.csc_array(m[p.b_idx][:, p.b_idx])
         solver = SpdSolver(m_bb)
         panels = spla.splu(m_bb, diag_pivot_thresh=0.0,
                            permc_spec="MMD_AT_PLUS_A",
@@ -172,7 +151,7 @@ class TestSpdSolverAtScale:
     def test_whole_component_block_is_singular(self, level):
         m, _, labels = level
         whole = np.flatnonzero(labels == np.argmax(np.bincount(labels)))
-        block = extract_principal_block(m, whole)
+        block = m[whole][:, whole]
         assert block.shape[0] > 5000
         with pytest.raises(NotPositiveDefinite):
             SpdSolver(block)
@@ -192,7 +171,7 @@ class TestCheckPositiveDefinite:
             s = np.flatnonzero(rng.random(5) < 0.6)
             if s.size == 0:
                 continue
-            block = extract_principal_block(lap, s)
+            block = lap[s][:, s]
             pd = np.linalg.eigvalsh(block.toarray()).min() > 1e-12
             if pd:
                 assert check_positive_definite(d[s], w[s][:, s]) is True
@@ -219,29 +198,9 @@ class TestCheckPositiveDefinite:
             make_context(sp.csr_array(m), p)
 
 
-class TestSpmv:
-    def test_zero_matrix(self):
-        m = sp.csr_array((3, 3))
-        np.testing.assert_array_equal(spmv(m, np.ones(3)), np.zeros(3))
-
-    def test_identity(self):
-        x = np.array([1.0, 2, 3])
-        np.testing.assert_array_equal(spmv(sp.eye(3).tocsr(), x), x)
-
-    def test_triangle_hand_expansion(self):
-        # row 0: 2*1 - (-1) - (-1) = 4
-        y = spmv(triangle_laplacian(), np.array([1.0, -1, -1]))
-        np.testing.assert_allclose(y, [4, -2, -2])
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            spmv(triangle_laplacian(), np.ones(4))
-
-
 def test_matrix_market_roundtrip(tmp_path):
     m = triangle_laplacian()
     path = tmp_path / "tri.mtx"
     save_matrix_market(path, m)
     loaded = load_matrix_market(path)
     np.testing.assert_allclose(loaded.toarray(), m.toarray())
-

@@ -1,5 +1,6 @@
-"""The benchmark's tracer still wraps names the library defines, and the
-pipeline factors with one configuration.
+"""The benchmark's tracer still wraps names the library defines, the
+pipeline factors with one configuration, and the library imports nothing
+it does not use.
 
 perfbench/tracer.py replaces library attributes by name, so deleting or
 renaming one of them breaks traced benchmark runs (``perfbench/run.py
@@ -7,8 +8,10 @@ renaming one of them breaks traced benchmark runs (``perfbench/run.py
 does not collect perfbench/.
 """
 
+import ast
 import importlib.util
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +22,10 @@ from mqfb import filterbank as fb
 from mqfb import multires as mr
 from mqfb.synthetic import gaussian_blob_cloud
 
-TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER_PATH = ROOT / "perfbench" / "tracer.py"
+LIBRARY_MODULES = sorted(p for p in (ROOT / "src" / "mqfb").glob("*.py")
+                         if p.name != "__init__.py")
 
 
 @pytest.fixture(scope="module")
@@ -86,3 +92,21 @@ def test_every_factor_uses_the_spd_solver_settings(spec, monkeypatch):
     assert all(kw == dict(diag_pivot_thresh=0.0, permc_spec="MMD_AT_PLUS_A",
                           panel_size=1, options=dict(SymmetricMode=True))
                for kw in calls)
+
+
+@pytest.mark.parametrize("path", LIBRARY_MODULES, ids=lambda p: p.stem)
+def test_every_import_is_used(tracer_module, path):
+    """A name a module imports is used there or is one the tracer wraps
+    on that module, so a deletion leaves no import behind."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    traced = {attr for owner, attr, *_ in tracer_module.TARGETS
+              if isinstance(owner, types.ModuleType)
+              and owner.__name__ == f"mqfb.{path.stem}"}
+    assert imported - used - traced == set()
