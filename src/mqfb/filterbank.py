@@ -224,17 +224,27 @@ class FilterContext:
     Poly filters solve with Q by blocks, with those two factors and never
     a factor of the n x n Q (so they use the block-diagonal Q of M even
     when a different ``q`` was passed in).
+    ``b_rows`` are the B vertices in the order of M_BB's rows: ``b_idx``,
+    or ``b_idx[order_b]`` for an elimination order ``order_b`` of M_BB, so
+    M_BA, M_BB and every B-side vector of the poly recurrence are in that
+    order and the factor needs no ordering pass of its own.  Coefficients
+    stay in ``b_idx`` order: analyze and synthesize gather and scatter B
+    through ``b_rows``.
     ``degree_scale`` holds the graph degrees, whose square roots a
     ZeroDcSpec scales by (a degree of 0 scales by 1).
     """
 
-    def __init__(self, m, partition, mode, q=None, basis=None, degree_scale=None):
+    def __init__(self, m, partition, mode, q=None, basis=None, degree_scale=None,
+                 order_b=None):
         if isinstance(m, Operator):
             self.operator = m
         else:
             self.m = sp.csr_array(m)
         self.partition = partition
         self.mode = mode
+        self.order_b = order_b
+        b = partition.b_idx
+        self.b_rows = b if order_b is None else b[order_b]
         self.basis = basis
         self.m_ba = self.solver_b = None
         self.degree_scale = degree_scale
@@ -270,15 +280,25 @@ class FilterContext:
                       self.operator.principal_block(self._w_aa, a))
 
 
-def _named(block, build, *args):
-    """build(*args); a NotPositiveDefinite it raises names ``block``."""
+def _named(block, build, *args, **kwargs):
+    """build(*args, **kwargs); a NotPositiveDefinite it raises names
+    ``block``."""
     try:
-        return build(*args)
+        return build(*args, **kwargs)
     except NotPositiveDefinite as e:
         raise type(e)(f"{block}: {e}") from e
 
 
-def make_context(m, partition, mode="poly", degrees=None):
+def check_order(order_b, nb):
+    """Raise ValueError unless ``order_b`` is a permutation of range(nb)."""
+    order_b = np.asarray(order_b)
+    if (order_b.shape != (nb,) or order_b.dtype.kind not in "iu"
+            or not np.array_equal(np.sort(order_b), np.arange(nb))):
+        raise ValueError(f"M_BB order ({order_b.dtype}{list(order_b.shape)}) "
+                         f"is not a permutation of the {nb} B rows")
+
+
+def make_context(m, partition, mode="poly", degrees=None, order_b=None):
     """Build a FilterContext for Q = block-diagonal of M under the partition.
 
     Raises NotPositiveDefinite, naming the block (M_AA or M_BB), when Q is
@@ -287,12 +307,19 @@ def make_context(m, partition, mode="poly", degrees=None):
     own CSC.  The A block is decided with no factor, by Taussky's test on
     diag(c_A) - W_AA (see Operator: c is the degrees for both Laplacians);
     only a plain matrix that is not Laplacian-like has M_AA factored.
+
+    ``order_b`` is an elimination order of M_BB, such as an earlier
+    context's ``solver_b.order`` (see FilterContext); one that is not a
+    permutation of the B side raises ValueError.  Dense mode ignores it.
     """
-    ctx = FilterContext(m, partition, mode, degree_scale=degrees)
+    if order_b is not None:
+        check_order(order_b, partition.b_idx.size)
+    ctx = FilterContext(m, partition, mode, degree_scale=degrees,
+                        order_b=order_b)
     if mode == "dense":
         ctx.basis = mq_eigendecompose(ctx.m, ctx.q, partition=partition)
     elif mode == "poly":
-        op, a, b = ctx.operator, partition.a_idx, partition.b_idx
+        op, a, b = ctx.operator, partition.a_idx, ctx.b_rows
         w_b = op.adjacency[b]
         w_ba, w_bb = w_b[:, a], w_b[:, b]
         if op.adjacency.nnz == 2 * w_ba.nnz + w_bb.nnz:  # no edge within A
@@ -302,7 +329,15 @@ def make_context(m, partition, mode="poly", degrees=None):
             ctx.solver_a  # the structure does not decide; the factor does
         w_ba.data = op.off(w_ba, b, a)
         ctx.m_ba = w_ba
-        ctx.solver_b = _named("M_BB", SpdSolver, op.principal_block(w_bb, b))
+        if order_b is None:
+            ctx.solver_b = _named("M_BB", SpdSolver,
+                                  op.principal_block(w_bb, b))
+        else:
+            # cut in elimination order, each row's columns come out of
+            # order; sorted here, M_BB reaches SuperLU in canonical form
+            w_bb.sort_indices()
+            ctx.solver_b = _named("M_BB", SpdSolver,
+                                  op.principal_block(w_bb, b), ordered=True)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return ctx
@@ -384,8 +419,11 @@ def analyze(spec, ctx, x):
     else:
         # a needs only the A rows of h0(S) x and d the B rows of h1(S) x, so
         # one recurrence on x carries both channels
-        a, d = _chebyshev(ctx, x[a_idx], x[ctx.partition.b_idx],
+        a, d = _chebyshev(ctx, x[a_idx], x[ctx.b_rows],
                           *_series(spec.h0, spec.h1))
+        if ctx.order_b is not None:  # back to b_idx order
+            d_rows, d = d, np.empty_like(d)
+            d[ctx.order_b] = d_rows
     if pre is not None:
         a = (a.T / pre[a_idx]).T
     return ChannelCoefficients(a=a, d=d)
@@ -411,9 +449,11 @@ def synthesize(spec, ctx, coeffs):
         # on B for odd k, and T_k(S) upsample_B(d) on the other side: one
         # recurrence on (a, d) carries both channels, each row summing the
         # g0 or the g1 series by the parity of k
+        if ctx.order_b is not None and d.any():  # zeros need no gather
+            d = d[ctx.order_b]
         g0, g1 = _series(spec.g0, spec.g1)
         even = np.arange(g0.size) % 2 == 0
-        x[ctx.partition.a_idx], x[ctx.partition.b_idx] = _chebyshev(
+        x[ctx.partition.a_idx], x[ctx.b_rows] = _chebyshev(
             ctx, a, d, np.where(even, g0, g1), np.where(even, g1, g0))
     if pre is not None:
         x = (x.T * (1.0 / pre)).T

@@ -175,9 +175,14 @@ def load_ply(path):
                 line = fh.readline()
                 if not line:
                     break
-                line = line.strip()
-                if line:
-                    rows.append(tuple(line.split()))
+                values = line.split()
+                if not values:
+                    continue
+                if len(values) != len(props):
+                    raise ValueError(
+                        f"{path}: PLY vertex row {len(rows)} has "
+                        f"{len(values)} values, expected {len(props)}")
+                rows.append(tuple(values))
             data = np.array(rows, dtype=dtype)
         if data.shape[0] != count:
             raise ValueError("PLY vertex data truncated")

@@ -8,6 +8,13 @@ to the normalized Laplacian with Q = I.  The PSNR sweep synthesizes every
 keep in one upward pass and memoizes only its outputs.  A tree is saved as
 a directory of two files: meta.json and one uncompressed tree.npz.
 
+M_BB is ordered once per level: decompose factors it with MMD and records
+the elimination order (LevelRecord.order_b, saved as level_XX/order_b),
+and decode and the sweep build their contexts with that order, so they
+factor M_BB with no ordering pass.  Their factors then differ from
+decompose's in the last bits (round trip about 1e-16).  A tree saved
+without orders decodes with MMD-ordered factors.
+
 decompose overlaps two stages: once level ell's partition is repaired,
 level ell+1's points are fixed, and their KNN graph (int32 indices) is
 built on one worker thread while level ell builds its context, factors
@@ -51,6 +58,9 @@ class LevelRecord:
     partition: gb.Partition
     adjacency: sp.csr_array  # graph actually filtered (post-bipartize for BFB)
     details: np.ndarray  # (|B|, c)
+    # M_BB's elimination order from decompose's factor (None when M_BB is
+    # diagonal or the mode is dense): later contexts factor with no MMD pass
+    order_b: np.ndarray | None = None
 
 
 @dataclass
@@ -74,7 +84,7 @@ def _spec_from_meta(meta):
     return spec
 
 
-def _level_context(ell, adjacency, partition, meta):
+def _level_context(ell, adjacency, partition, meta, order_b=None):
     """Level ell's FilterContext; a failure to build it names the level."""
     try:
         g = gb.Graph(adjacency)
@@ -83,7 +93,7 @@ def _level_context(ell, adjacency, partition, meta):
         else:
             op = gb.combinatorial_operator(g)
         return fb.make_context(op, partition, mode=meta["mode"],
-                               degrees=g.degrees)
+                               degrees=g.degrees, order_b=order_b)
     except ValueError as e:
         raise type(e)(f"level {ell}: {e}") from e
 
@@ -148,8 +158,10 @@ def decompose(pc, spec, k, levels, seed, operator=None, baseline=False):
                 graph = ahead.submit(_knn_graph, pos, k)
             ctx = _level_context(ell, g.adjacency, p, meta)
             coeffs = fb.analyze(spec, ctx, x)
-            records.append(LevelRecord(partition=p, adjacency=g.adjacency,
-                                       details=np.atleast_2d(coeffs.d)))
+            records.append(LevelRecord(
+                partition=p, adjacency=g.adjacency,
+                details=np.atleast_2d(coeffs.d),
+                order_b=getattr(ctx.solver_b, "order", None)))
             x = coeffs.a
     return DecompositionTree(levels=records, root=np.atleast_2d(x), meta=meta)
 
@@ -171,7 +183,7 @@ def _synthesize_up(tree, drops):
     split = {}  # j -> its own stream, once its details have been zeroed
     for i in reversed(range(len(tree.levels))):
         lv = tree.levels[i]
-        ctx = _level_context(i, lv.adjacency, lv.partition, meta)
+        ctx = _level_context(i, lv.adjacency, lv.partition, meta, lv.order_b)
 
         def up(x, d):
             return fb.synthesize(spec, ctx, fb.ChannelCoefficients(a=x, d=d))
@@ -203,15 +215,17 @@ class _SweepMemo:
     The outputs come from one _synthesize_up pass over every keep, which
     frees each level's context once its level is done; only the outputs
     are kept.  Holds a copy of the meta and of every coefficient array, and
-    the level, partition and adjacency objects (compared by identity).  So
-    edits of the meta or the coefficients, in place or not, and replaced
-    level, partition or adjacency objects are seen and the memo is dropped.
+    the level, partition, adjacency and order_b objects (compared by
+    identity).  So edits of the meta or the coefficients, in place or not,
+    and replaced level, partition, adjacency or order_b objects are seen
+    and the memo is dropped.
     """
 
     def __init__(self, tree):
         self.outputs = _synthesize_up(tree, range(len(tree.levels) + 1))
         self.meta = copy.deepcopy(tree.meta)
-        self.levels = [(lv, lv.partition, lv.adjacency) for lv in tree.levels]
+        self.levels = [(lv, lv.partition, lv.adjacency, lv.order_b)
+                       for lv in tree.levels]
         self.root = np.array(tree.root)
         self.details = [np.array(lv.details) for lv in tree.levels]
 
@@ -220,6 +234,7 @@ class _SweepMemo:
             self.meta == tree.meta
             and len(self.levels) == len(tree.levels)
             and all(r[0] is lv and r[1] is lv.partition and r[2] is lv.adjacency
+                    and r[3] is lv.order_b
                     for r, lv in zip(self.levels, tree.levels))
             and np.array_equal(self.root, tree.root)
             and all(np.array_equal(d, lv.details)
@@ -296,8 +311,10 @@ def _tree_arrays(tree):
     """Name -> array for everything tree.npz holds.
 
     Each adjacency is kept as its strict upper triangle in CSR (the graphs
-    are symmetric with an empty diagonal) and each partition as its A-side
-    mask packed eight vertices to a byte.
+    are symmetric with an empty diagonal), each partition as its A-side
+    mask packed eight vertices to a byte, and each M_BB elimination order,
+    when the level has one, in the smallest unsigned dtype that holds
+    |B| - 1.
     """
     arrays = {"root": np.asarray(tree.root, dtype="<f8")}
     for i, lv in enumerate(tree.levels):
@@ -311,6 +328,10 @@ def _tree_arrays(tree):
             f"level_{i:02d}/side_a": np.packbits(lv.partition.f == 1),
             f"level_{i:02d}/details": np.asarray(lv.details, dtype="<f8"),
         })
+        if lv.order_b is not None:
+            top = np.min_scalar_type(lv.order_b.size - 1)  # |B| - 1
+            arrays[f"level_{i:02d}/order_b"] = lv.order_b.astype(
+                f"<u{top.itemsize}")
     return arrays
 
 
@@ -399,7 +420,8 @@ def load_tree(path):
     another layout raises TreeFormatError.
     """
     meta = _read_meta(path)
-    arrays = _read_arrays(os.path.join(path, ARRAYS_FILE), meta.pop("arrays"))
+    fname = os.path.join(path, ARRAYS_FILE)
+    arrays = _read_arrays(fname, meta.pop("arrays"))
     levels = []
     while (key := f"level_{len(levels):02d}/") + "details" in arrays:
         indptr = arrays[key + "indptr"]
@@ -407,9 +429,19 @@ def load_tree(path):
         u = sp.csr_array((arrays[key + "weights"], arrays[key + "indices"],
                           indptr), shape=(n, n))
         side_a = np.unpackbits(arrays[key + "side_a"], count=n).astype(bool)
+        order_b = arrays.get(key + "order_b")
+        if order_b is not None:
+            try:
+                if order_b.dtype.kind != "u":
+                    raise ValueError(f"dtype {order_b.dtype} is not unsigned")
+                fb.check_order(order_b, n - int(side_a.sum()))
+            except ValueError as e:
+                raise CorruptTree(
+                    f"{fname}: array {key + 'order_b'!r}: {e}") from e
         levels.append(LevelRecord(
             partition=gb.Partition(np.where(side_a, 1, -1)),
             adjacency=sp.csr_array(u + u.T),
             details=arrays[key + "details"],
+            order_b=order_b,
         ))
     return DecompositionTree(levels=levels, root=arrays["root"], meta=meta)

@@ -45,15 +45,22 @@ class SpdSolver:
     The factor is column by column (``panel_size=1``): graph blocks fill
     only about 1.8x their nnz, too little for SuperLU's default 20-column
     panels to pay, and the fill is the same either way.
+
+    The columns are ordered by MMD on S + S^T, and ``order`` keeps that
+    elimination order: S[order][:, order] is the matrix SuperLU factored.
+    A matrix already in its elimination order (``ordered=True``) factors
+    in its natural order, with the same fill and no MMD pass, and has no
+    ``order`` of its own.
     """
 
-    def __init__(self, matrix):
+    def __init__(self, matrix, ordered=False):
         matrix = sp.csc_array(matrix)
         if matrix.shape[0] != matrix.shape[1]:
             raise ValueError("matrix must be square")
         self.n = matrix.shape[0]
         self._diag = None
         self._lu = None
+        self.order = None
         d = matrix.diagonal()
         if np.any(d <= 0) or not np.all(np.isfinite(d)):
             raise NotPositiveDefinite("nonpositive diagonal entry")
@@ -64,7 +71,7 @@ class SpdSolver:
                 lu = spla.splu(
                     matrix,
                     diag_pivot_thresh=0.0,
-                    permc_spec="MMD_AT_PLUS_A",
+                    permc_spec="NATURAL" if ordered else "MMD_AT_PLUS_A",
                     panel_size=1,
                     options=dict(SymmetricMode=True),
                 )
@@ -78,6 +85,10 @@ class SpdSolver:
                     "LU factor has nonpositive or vanishing pivot"
                 )
             self._lu = lu
+            if not ordered:
+                self.order = np.empty_like(lu.perm_c)
+                self.order[lu.perm_c] = np.arange(self.n,
+                                                  dtype=lu.perm_c.dtype)
 
     def solve(self, y):
         """Solve S z = y; y may be a vector or an (n, k) block of RHSs."""

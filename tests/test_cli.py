@@ -111,6 +111,22 @@ def test_ply_input(tmp_path):
     assert code == EXIT_OK
 
 
+@pytest.mark.parametrize("row", ["0 0", "0 0 0 7"],
+                         ids=["too_few", "too_many"])
+def test_ply_row_with_the_wrong_value_count(tmp_path, capsys, row):
+    ply = tmp_path / "bad.ply"
+    ply.write_text("ply\nformat ascii 1.0\nelement vertex 1\n"
+                   "property double x\nproperty double y\n"
+                   f"property double z\nend_header\n{row}\n")
+    code = main(["decompose", "--input", str(ply), "--k", "4",
+                 "--levels", "1", "--out", str(tmp_path / "t")])
+    assert code == EXIT_CHECK_FAILED
+    n = len(row.split())
+    assert (f"invalid input: {ply}: PLY vertex row 0 has {n} values, "
+            "expected 3") in capsys.readouterr().err
+    assert not (tmp_path / "t").exists()
+
+
 def test_decompose_names_the_failing_level(tmp_path, capsys, monkeypatch):
     make_context = fb.make_context
     calls = []

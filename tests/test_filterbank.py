@@ -363,6 +363,34 @@ def test_blocks_from_the_graph_equal_laplacian_slices(graph_20k, name,
             assert x.dtype == y.dtype and np.array_equal(x, y), attr
 
 
+@pytest.mark.parametrize("spec", [lazy_spec(), orthogonal_cosine_spec()],
+                         ids=["lazy", "ortho-poly"])
+def test_an_elimination_order_cuts_m_bb_in_that_order(graph_20k, spec):
+    """A context given M_BB's elimination order cuts M_BA and M_BB in that
+    order and factors with the same fill and no order of its own, while
+    analyze and synthesize keep the details in b_idx order."""
+    g, p = graph_20k
+    op, lap = combinatorial_operator(g), combinatorial_laplacian(g)
+    first = make_context(op, p, mode="poly")
+    order = first.solver_b.order
+    ctx = make_context(op, p, mode="poly", order_b=order)
+    b, a = p.b_idx[order], p.a_idx
+    np.testing.assert_array_equal(ctx.b_rows, b)
+    assert abs(ctx.m_ba - sp.csr_array(lap[b][:, a])).max() == 0
+    assert ctx.solver_b.order is None
+    assert ctx.solver_b._lu.nnz == first.solver_b._lu.nnz
+    x = np.random.default_rng(0).standard_normal((g.n, 3))
+    got, want = analyze(spec, ctx, x), analyze(spec, first, x)
+    np.testing.assert_allclose(got.a, want.a, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got.d, want.d, rtol=0, atol=1e-12)
+    for c in (got, fb.ChannelCoefficients(a=got.a, d=np.zeros_like(got.d))):
+        np.testing.assert_allclose(synthesize(spec, ctx, c),
+                                   synthesize(spec, first, c),
+                                   rtol=0, atol=1e-11)
+    np.testing.assert_allclose(synthesize(spec, ctx, got), x,
+                               rtol=0, atol=1e-11)
+
+
 class TestCheckPr:
     def test_lazy_passes(self):
         ctx = comb_context(50, 8, mode="dense")

@@ -96,6 +96,19 @@ class TestPly:
         with pytest.raises(ValueError, match="vertex element must come first"):
             load_ply(path)
 
+    @pytest.mark.parametrize("row", ["0 0", "0 0 0 7"],
+                             ids=["too_few", "too_many"])
+    def test_ascii_row_with_the_wrong_value_count(self, tmp_path, row):
+        path = tmp_path / "short.ply"
+        path.write_text(
+            "ply\nformat ascii 1.0\nelement vertex 2\nproperty double x\n"
+            f"property double y\nproperty double z\nend_header\n1 2 3\n{row}\n"
+        )
+        n = len(row.split())
+        with pytest.raises(ValueError, match=(
+                f"short.ply: PLY vertex row 1 has {n} values, expected 3")):
+            load_ply(path)
+
     def test_missing_coordinates(self, tmp_path):
         path = tmp_path / "noz.ply"
         path.write_text(

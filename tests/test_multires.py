@@ -1,8 +1,10 @@
 import json
 import threading
+import zlib
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from mqfb import filterbank as fb
 from mqfb import graphs as gb
@@ -219,7 +221,7 @@ class TestLinearApproximation:
                 clipped = DecompositionTree(
                     levels=[LevelRecord(lv.partition, lv.adjacency,
                                         np.zeros_like(lv.details) if i < j
-                                        else lv.details)
+                                        else lv.details, lv.order_b)
                             for i, lv in enumerate(tree.levels)],
                     root=tree.root, meta=tree.meta)
                 expected = reconstruct(clipped)
@@ -306,6 +308,20 @@ class TestLinearApproximation:
             expected = reconstruct(tree, drop_finest=j)
             np.testing.assert_array_equal(res.attributes, expected)
             assert not np.array_equal(expected, before[j])
+
+    def test_sweep_drops_its_outputs_when_an_order_is_replaced(self):
+        pc = small_cloud()
+        tree = decompose(pc, fb.lazy_spec(), k=4, levels=3, seed=19)
+        linear_approximation(tree, 0.5, pc.attributes)
+        memo = tree._sweep
+        lv = tree.levels[0]
+        # another valid elimination order: the same block, another factor
+        lv.order_b = lv.order_b[::-1].copy()
+        for j in range(len(tree.levels) + 1):
+            res = linear_approximation(tree, 2.0**-j, pc.attributes)
+            assert tree._sweep is not memo
+            np.testing.assert_array_equal(res.attributes,
+                                          reconstruct(tree, drop_finest=j))
 
     def test_coarser_keep_not_better(self):
         pc = gaussian_blob_cloud(2000, seed=14)
@@ -396,6 +412,8 @@ class TestTreeSerialization:
                                                   getattr(b.adjacency, part))
                 np.testing.assert_array_equal(a.partition.f, b.partition.f)
                 np.testing.assert_array_equal(a.details, b.details)
+                assert (a.order_b is None) == (b.order_b is None) == baseline
+                np.testing.assert_array_equal(a.order_b, b.order_b)
         np.testing.assert_array_equal(reconstruct(loaded), reconstruct(tree))
 
     def test_checksum_catches_a_rewritten_array(self, tmp_path):
@@ -420,3 +438,172 @@ class TestTreeSerialization:
         meta_path.write_text(json.dumps(meta))
         with pytest.raises(CorruptTree, match="tree.npz: array 'level_01/details'"):
             load_tree(tmp_path)
+
+
+def _rewrite_array(path, name, array):
+    """Replace one array of a saved tree, or drop it when ``array`` is
+    None, with a matching spec and crc32 in meta.json, so only
+    load_tree's own checks can tell."""
+    npz = path / "tree.npz"
+    with np.load(npz) as z:
+        arrays = dict(z)
+    meta = json.loads((path / "meta.json").read_text())
+    if array is None:
+        del arrays[name], meta["arrays"][name]
+    else:
+        arrays[name] = array = np.ascontiguousarray(array)
+        meta["arrays"][name] = {"shape": list(array.shape),
+                                "dtype": array.dtype.str,
+                                "crc32": zlib.crc32(array)}
+    np.savez(npz, **arrays)
+    (path / "meta.json").write_text(json.dumps(meta))
+
+
+class TestEliminationOrders:
+    """Each level's M_BB order, kept from decompose's factor, saved and
+    checked on load."""
+
+    def test_order_b_is_stored_in_the_smallest_unsigned_dtype(self, tmp_path):
+        tree = decompose(small_cloud(), fb.lazy_spec(), k=4, levels=3, seed=5)
+        save_tree(tree, tmp_path)
+        loaded = load_tree(tmp_path)
+        for a, b in zip(loaded.levels, tree.levels):
+            assert a.order_b.dtype == np.uint8  # |B| <= 256
+            np.testing.assert_array_equal(a.order_b, b.order_b)
+
+    def test_no_order_where_m_bb_is_diagonal(self):
+        pc = small_cloud()
+        for spec, kwargs in [(fb.lazy_spec(), dict(k=10, baseline=True)),
+                             (fb.orthogonal_cosine_spec(mode="dense"),
+                              dict(k=4))]:
+            tree = decompose(pc, spec, levels=2, seed=5, **kwargs)
+            assert all(lv.order_b is None for lv in tree.levels)
+
+    def test_tree_without_orders_decodes_through_mmd(self, tmp_path,
+                                                      monkeypatch):
+        """A tree.npz with no order arrays, as the format was written
+        before orders were stored, loads and decodes bit-identically to
+        decode with MMD-ordered factors."""
+        pc = small_cloud()
+        tree = decompose(pc, fb.lazy_spec(), k=4, levels=3, seed=6)
+        save_tree(tree, tmp_path)
+        for i in range(len(tree.levels)):
+            _rewrite_array(tmp_path, f"level_{i:02d}/order_b", None)
+        loaded = load_tree(tmp_path)
+        assert all(lv.order_b is None for lv in loaded.levels)
+        for lv in tree.levels:
+            lv.order_b = None
+        specs = []
+        splu = spla.splu
+
+        def recording(a, **kwargs):
+            specs.append(kwargs["permc_spec"])
+            return splu(a, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", recording)
+        np.testing.assert_array_equal(reconstruct(loaded), reconstruct(tree))
+        assert specs == ["MMD_AT_PLUS_A"] * 2 * len(tree.levels)
+
+    @pytest.mark.parametrize("corrupt", [
+        "duplicate", "two_dimensional", "signed", "short"])
+    def test_load_rejects_a_bad_order(self, tmp_path, corrupt):
+        tree = decompose(small_cloud(), fb.lazy_spec(), k=4, levels=2, seed=7)
+        save_tree(tree, tmp_path)
+        order = load_tree(tmp_path).levels[1].order_b.copy()
+        if corrupt == "duplicate":
+            order[0] = order[1]
+        elif corrupt == "two_dimensional":
+            order = order[:, None]
+        elif corrupt == "signed":
+            order = order.astype(np.int16)
+        else:
+            order = order[:-1]
+        _rewrite_array(tmp_path, "level_01/order_b", order)
+        with pytest.raises(CorruptTree,
+                           match="tree.npz: array 'level_01/order_b'"):
+            load_tree(tmp_path)
+
+    def test_load_rejects_a_duplicate_through_the_cli(self, tmp_path, capsys):
+        from mqfb.cli import EXIT_IO, main
+
+        tree = decompose(small_cloud(), fb.lazy_spec(), k=4, levels=2, seed=7)
+        save_tree(tree, tmp_path / "t")
+        order = tree.levels[0].order_b.astype(np.uint8)
+        order[-1] = order[0]
+        _rewrite_array(tmp_path / "t", "level_00/order_b", order)
+        code = main(["reconstruct", "--input", str(tmp_path / "t"),
+                     "--out", str(tmp_path / "x.bin")])
+        assert code == EXIT_IO
+        assert (f"array 'level_00/order_b': M_BB order (uint8[{order.size}]) "
+                f"is not a permutation of the {order.size} B rows"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("corrupt", ["duplicate", "short"])
+    def test_an_order_that_does_not_fit_names_the_level(self, corrupt):
+        tree = decompose(small_cloud(), fb.lazy_spec(), k=4, levels=3, seed=8)
+        lv = tree.levels[1]
+        if corrupt == "duplicate":
+            lv.order_b = lv.order_b.copy()
+            lv.order_b[0] = lv.order_b[1]
+        else:
+            lv.order_b = lv.order_b[1:]
+        with pytest.raises(ValueError, match="level 1: M_BB order"):
+            reconstruct(tree)
+
+
+@pytest.fixture(scope="module")
+def traced_20k(tmp_path_factory):
+    """A lazy 20k-point decompose (k=5, L=4), save, load, decode and sweep,
+    with every splu call recorded by stage as (permc_spec, n, nnz(L+U))."""
+    calls = {}
+    stage = []
+    splu = spla.splu
+
+    def recording(a, **kwargs):
+        lu = splu(a, **kwargs)
+        calls.setdefault(stage[-1], []).append(
+            (kwargs["permc_spec"], a.shape[0], lu.nnz))
+        return lu
+
+    pc = gaussian_blob_cloud(20_000, seed=0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spla, "splu", recording)
+        stage.append("decompose")
+        tree = decompose(pc, fb.lazy_spec(), k=5, levels=4, seed=0)
+        path = tmp_path_factory.mktemp("tree")
+        save_tree(tree, path)
+        loaded = load_tree(path)
+        stage.append("decode")
+        decoded = {"fresh": reconstruct(tree), "loaded": reconstruct(loaded)}
+        stage.append("sweep")
+        for j in range(len(tree.levels) + 1):
+            linear_approximation(tree, 2.0**-j, pc.attributes)
+    return pc, tree, loaded, decoded, calls
+
+
+class TestOrdersAt20k:
+    def test_decode_and_sweep_factors_keep_the_decompose_fill(self,
+                                                              traced_20k):
+        _, tree, _, _, calls = traced_20k
+        fill = {n: nnz for _, n, nnz in calls["decompose"]}
+        assert len(fill) == len(tree.levels) == 4
+        for stage in ("decode", "sweep"):
+            assert calls[stage]
+            assert all(fill[n] == nnz for _, n, nnz in calls[stage])
+
+    def test_round_trip(self, traced_20k):
+        pc, _, _, decoded, _ = traced_20k
+        for out in decoded.values():
+            assert (np.linalg.norm(out - pc.attributes)
+                    <= 1e-14 * np.linalg.norm(pc.attributes))
+        np.testing.assert_array_equal(decoded["loaded"], decoded["fresh"])
+
+    def test_mmd_runs_once_per_level_in_decompose_only(self, traced_20k):
+        _, tree, loaded, _, calls = traced_20k
+        assert ([spec for spec, _, _ in calls["decompose"]]
+                == ["MMD_AT_PLUS_A"] * len(tree.levels))
+        # two decodes and one sweep: three factors per level
+        assert ([spec for spec, _, _ in calls["decode"] + calls["sweep"]]
+                == ["NATURAL"] * 3 * len(tree.levels))
+        for lv in loaded.levels:
+            assert lv.order_b.dtype == np.min_scalar_type(lv.order_b.size - 1)

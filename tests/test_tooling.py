@@ -74,7 +74,10 @@ def test_tracer_installs_and_removes(tracer_module, spec, tmp_path):
                          ids=["lazy", "ortho-poly"])
 def test_every_factor_uses_the_spd_solver_settings(spec, monkeypatch):
     """No second factor configuration: every splu call in decompose,
-    reconstruct and the sweep gets SpdSolver's keyword arguments."""
+    reconstruct and the sweep gets SpdSolver's keyword arguments.
+    decompose orders with MMD; decode and the sweep factor each level's
+    M_BB in the order decompose recorded (NATURAL), and only the ortho
+    bank's M_AA, which has no recorded order, is ordered there."""
     calls = []
     splu = spla.splu
 
@@ -85,13 +88,26 @@ def test_every_factor_uses_the_spd_solver_settings(spec, monkeypatch):
     monkeypatch.setattr(spla, "splu", recording_splu)
     pc = gaussian_blob_cloud(300, seed=0)
     tree = mr.decompose(pc, spec, k=5, levels=3, seed=0)
+    encode = calls[:]
+    calls.clear()
     mr.reconstruct(tree)
     for j in range(len(tree.levels) + 1):
         mr.linear_approximation(tree, 2.0**-j, pc.attributes)
-    assert calls
-    assert all(kw == dict(diag_pivot_thresh=0.0, permc_spec="MMD_AT_PLUS_A",
-                          panel_size=1, options=dict(SymmetricMode=True))
-               for kw in calls)
+    assert all(lv.order_b is not None for lv in tree.levels)
+    assert encode and calls
+
+    def others(kw):
+        return {k: v for k, v in kw.items() if k != "permc_spec"}
+
+    assert all(others(kw) == dict(diag_pivot_thresh=0.0, panel_size=1,
+                                  options=dict(SymmetricMode=True))
+               for kw in encode + calls)
+    assert all(kw["permc_spec"] == "MMD_AT_PLUS_A" for kw in encode)
+    natural = [kw for kw in calls if kw["permc_spec"] == "NATURAL"]
+    # one reconstruct plus one sweep: two contexts per level
+    assert len(natural) == 2 * len(tree.levels)
+    mmd = len(calls) - len(natural)
+    assert mmd == (0 if spec.family == "lazy" else 2 * len(tree.levels))
 
 
 @pytest.mark.parametrize("path", LIBRARY_MODULES, ids=lambda p: p.stem)
