@@ -13,17 +13,18 @@ A context cuts those blocks from the adjacency W (graphs.Operator),
 checks the A block on W_AA with no factor (the normalized M_AA by its
 congruence to the combinatorial one) and builds the n x n M and Q only
 on first use, for dense mode and the checkers.
-Ships the lazy biorthogonal design and the orthogonal cosine design (poly
-by default, as its degree-12 Chebyshev interpolant; dense mode keeps the
-closed form as the reference), plus checkers for perfect reconstruction,
-Q-orthogonality and frame bounds.
+A plain matrix is split into an Operator too.  Ships the lazy
+biorthogonal design and the orthogonal cosine design (poly by default, as
+its degree-12 Chebyshev interpolant; dense mode keeps the closed form as
+the reference), their zero-DC variants, plus checkers for perfect
+reconstruction, Q-orthogonality and frame bounds.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -54,59 +55,53 @@ _NAMED_KERNELS = {
 class Kernel:
     """Scalar spectral kernel on [0, 2].
 
-    Exactly one of three forms, so specs stay serializable: ``coeffs``, a
-    polynomial in lam (ascending degree); ``cheb``, a Chebyshev series in
-    t = lam - 1, whose interval [-1, 1] is the spectrum of Z - I; or
-    ``name``, a named closed form.
+    Exactly one of two forms, so specs stay serializable: ``cheb``, a
+    Chebyshev series in t = lam - 1, whose interval [-1, 1] is the spectrum
+    of Z - I; or ``name``, a named closed form.  ``coeffs``, a polynomial
+    in lam (ascending degree), is converted to ``cheb`` once, here.
     """
 
-    coeffs: tuple | None = None
+    coeffs: InitVar[tuple | None] = None
     name: str | None = None
     cheb: tuple | None = None
 
-    def __post_init__(self):
-        if sum(f is not None for f in (self.coeffs, self.name, self.cheb)) != 1:
+    def __post_init__(self, coeffs):
+        if sum(f is not None for f in (coeffs, self.name, self.cheb)) != 1:
             raise ValueError("exactly one of coeffs/name/cheb required")
         if self.name is not None and self.name not in _NAMED_KERNELS:
             raise ValueError(f"unknown kernel {self.name!r}")
-        for form in ("coeffs", "cheb"):
-            if getattr(self, form) is not None:
-                object.__setattr__(
-                    self, form, tuple(float(c) for c in getattr(self, form)))
-
-    @property
-    def is_polynomial(self):
-        return self.name is None
+        cheb = self.cheb
+        if coeffs is not None:
+            lam = np.polynomial.Polynomial([1.0, 1.0])  # lam = 1 + t
+            shifted = np.polynomial.Polynomial(coeffs)(lam).coef
+            cheb = np.polynomial.chebyshev.poly2cheb(shifted)
+        if cheb is not None:
+            object.__setattr__(self, "cheb", tuple(float(c) for c in cheb))
+            if not self.cheb:
+                raise ValueError("empty Chebyshev series")
 
     @functools.cached_property
     def chebyshev(self):
-        """Coefficients of the kernel as a Chebyshev series in t = lam - 1,
-        derived once per kernel and read-only."""
-        if self.cheb is not None:
-            c = np.array(self.cheb)
-        else:
-            lam = np.polynomial.Polynomial([1.0, 1.0])  # lam = 1 + t
-            shifted = np.polynomial.Polynomial(self.coeffs)(lam).coef
-            c = np.polynomial.chebyshev.poly2cheb(shifted)
+        """``cheb`` as a read-only array; a named kernel raises NotPolynomial."""
+        if self.cheb is None:
+            raise NotPolynomial(f"kernel {self.name!r} is not a polynomial")
+        c = np.array(self.cheb)
         c.setflags(write=False)
         return c
 
     def __call__(self, lam):
         lam = np.asarray(lam, dtype=np.float64)
-        if self.coeffs is not None:
-            return np.polynomial.polynomial.polyval(lam, self.coeffs)
         if self.cheb is not None:
             return np.polynomial.chebyshev.chebval(lam - 1.0, self.cheb)
         return _NAMED_KERNELS[self.name](lam)
 
     def to_json(self):
-        """A JSON value: the coefficient list, the name, or {"cheb": [...]}."""
-        if self.cheb is not None:
-            return {"cheb": list(self.cheb)}
-        return list(self.coeffs) if self.coeffs is not None else self.name
+        """A JSON value: {"cheb": [...]} or the name."""
+        return self.name if self.cheb is None else {"cheb": list(self.cheb)}
 
     @classmethod
     def from_json(cls, v):
+        """Reads to_json's values, and a monomial coefficient list."""
         if isinstance(v, dict):
             return cls(cheb=v["cheb"])
         return cls(coeffs=v) if isinstance(v, (list, tuple)) else cls(name=v)
@@ -114,7 +109,15 @@ class Kernel:
 
 @dataclass(frozen=True)
 class FilterBankSpec:
-    """Four kernels plus an implementation mode ("dense" or "poly")."""
+    """Four kernels plus an implementation mode ("dense" or "poly").
+
+    ``zero_dc`` (zero_dc_wrap) scales by C, the context Operator's
+    ``congruent_diag``: analysis sees C^{1/2} x, synthesis emits C^{-1/2} x,
+    and a stays in the signal domain.  C is the degrees for both Laplacian
+    Operators (1 at an isolated vertex), so constants give zero details;
+    for a plain matrix it is M's diagonal, so a zero-DC normalized bank
+    takes normalized_operator(g), not the assembled Laplacian.
+    """
 
     h0: Kernel
     h1: Kernel
@@ -122,13 +125,13 @@ class FilterBankSpec:
     g1: Kernel
     mode: str = "poly"
     family: str = "custom"
+    zero_dc: bool = False
 
     def __post_init__(self):
         if self.mode not in ("dense", "poly"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "poly" and not all(
-            k.is_polynomial for k in (self.h0, self.h1, self.g0, self.g1)
-        ):
+        if self.mode == "poly" and any(
+                k.cheb is None for k in self.kernels().values()):
             raise NotPolynomial("poly mode requires all four kernels polynomial")
 
     def kernels(self):
@@ -138,6 +141,8 @@ class FilterBankSpec:
         d = {"family": self.family, "mode": self.mode}
         if self.family == "custom":
             d["kernels"] = {k: v.to_json() for k, v in self.kernels().items()}
+        if self.zero_dc:
+            d["zero_dc"] = True
         return json.dumps(d, indent=2)
 
     @classmethod
@@ -146,9 +151,11 @@ class FilterBankSpec:
         family = d.get("family", "custom")
         mode = d.get("mode")
         if family in _FAMILIES:
-            return family_spec(family, mode)
-        kernels = {k: Kernel.from_json(v) for k, v in d["kernels"].items()}
-        return cls(mode=mode or "poly", family="custom", **kernels)
+            spec = family_spec(family, mode)
+        else:
+            kernels = {k: Kernel.from_json(v) for k, v in d["kernels"].items()}
+            spec = cls(mode=mode or "poly", family="custom", **kernels)
+        return zero_dc_wrap(spec) if d.get("zero_dc") else spec
 
 
 def family_spec(family, mode=None):
@@ -156,6 +163,11 @@ def family_spec(family, mode=None):
     if family not in _FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     return _FAMILIES[family]() if mode is None else _FAMILIES[family](mode=mode)
+
+
+def zero_dc_wrap(spec):
+    """``spec``'s degree-scaled variant (see FilterBankSpec)."""
+    return replace(spec, zero_dc=True)
 
 
 def lazy_spec(mode="poly"):
@@ -208,9 +220,9 @@ class ChannelCoefficients:
 class FilterContext:
     """Everything needed to apply spectral filters for one (M, partition).
 
-    ``m`` is a graphs.Operator or a plain symmetric matrix, split into an
-    Operator's parts when needed; the assembled M (``ctx.m``) and the
-    block-diagonal Q (``ctx.q``) are built on first use.
+    ``operator`` is ``m``, a graphs.Operator, or a plain symmetric ``m``
+    split into one; the assembled M (``ctx.m``) and the block-diagonal Q
+    (``ctx.q``) are built from it on first use.
 
     Dense mode carries a basis with ``lam``, ``forward`` and ``inverse``:
     from make_context a FoldedBasis (sparse Cholesky factors of M_AA and
@@ -230,43 +242,28 @@ class FilterContext:
     order and the factor needs no ordering pass of its own.  Coefficients
     stay in ``b_idx`` order: analyze and synthesize gather and scatter B
     through ``b_rows``.
-    ``degree_scale`` holds the graph degrees, whose square roots a
-    ZeroDcSpec scales by (a degree of 0 scales by 1).
     """
 
-    def __init__(self, m, partition, mode, q=None, basis=None, degree_scale=None,
-                 order_b=None):
-        if isinstance(m, Operator):
-            self.operator = m
-        else:
-            self.m = sp.csr_array(m)
+    def __init__(self, m, partition, mode, q=None, basis=None, order_b=None):
+        self.operator = m if isinstance(m, Operator) else Operator.of_matrix(m)
         self.partition = partition
+        self.n = partition.n
         self.mode = mode
         self.order_b = order_b
         b = partition.b_idx
         self.b_rows = b if order_b is None else b[order_b]
         self.basis = basis
         self.m_ba = self.solver_b = None
-        self.degree_scale = degree_scale
-        self._q = q
-
-    @property
-    def n(self):
-        return self.partition.n
-
-    @functools.cached_property
-    def operator(self):
-        return Operator.of_matrix(self.m)
+        if q is not None:
+            self.q = q
 
     @functools.cached_property
     def m(self):
         return self.operator.matrix()
 
-    @property
+    @functools.cached_property
     def q(self):
-        if self._q is None:
-            self._q = build_block_diag_q(self.m, self.partition)
-        return self._q
+        return build_block_diag_q(self.m, self.partition)
 
     @functools.cached_property
     def _w_aa(self):
@@ -298,7 +295,7 @@ def check_order(order_b, nb):
                          f"is not a permutation of the {nb} B rows")
 
 
-def make_context(m, partition, mode="poly", degrees=None, order_b=None):
+def make_context(m, partition, mode="poly", order_b=None):
     """Build a FilterContext for Q = block-diagonal of M under the partition.
 
     Raises NotPositiveDefinite, naming the block (M_AA or M_BB), when Q is
@@ -314,8 +311,7 @@ def make_context(m, partition, mode="poly", degrees=None, order_b=None):
     """
     if order_b is not None:
         check_order(order_b, partition.b_idx.size)
-    ctx = FilterContext(m, partition, mode, degree_scale=degrees,
-                        order_b=order_b)
+    ctx = FilterContext(m, partition, mode, order_b=order_b)
     if mode == "dense":
         ctx.basis = mq_eigendecompose(ctx.m, ctx.q, partition=partition)
     elif mode == "poly":
@@ -329,15 +325,11 @@ def make_context(m, partition, mode="poly", degrees=None, order_b=None):
             ctx.solver_a  # the structure does not decide; the factor does
         w_ba.data = op.off(w_ba, b, a)
         ctx.m_ba = w_ba
-        if order_b is None:
-            ctx.solver_b = _named("M_BB", SpdSolver,
-                                  op.principal_block(w_bb, b))
-        else:
-            # cut in elimination order, each row's columns come out of
-            # order; sorted here, M_BB reaches SuperLU in canonical form
-            w_bb.sort_indices()
-            ctx.solver_b = _named("M_BB", SpdSolver,
-                                  op.principal_block(w_bb, b), ordered=True)
+        # cut in an elimination order, each row's columns come out of
+        # order; sorted here, M_BB reaches SuperLU in canonical form
+        w_bb.sort_indices()
+        ctx.solver_b = _named("M_BB", SpdSolver, op.principal_block(w_bb, b),
+                              ordered=order_b is not None)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     return ctx
@@ -410,7 +402,7 @@ def _dense_synthesize(ctx, g0, g1, up_a, up_b):
 def analyze(spec, ctx, x):
     """a = (H0 x) on A, d = (H1 x) on B."""
     x = np.asarray(x, dtype=np.float64)
-    spec, pre = _unwrap(spec, ctx)
+    pre = np.sqrt(ctx.operator.congruent_diag) if spec.zero_dc else None
     if pre is not None:
         x = (x.T * pre).T
     a_idx = ctx.partition.a_idx
@@ -431,7 +423,7 @@ def analyze(spec, ctx, x):
 
 def synthesize(spec, ctx, coeffs):
     """x = G0 upsample_A(a) + G1 upsample_B(d)."""
-    spec, pre = _unwrap(spec, ctx)
+    pre = np.sqrt(ctx.operator.congruent_diag) if spec.zero_dc else None
     a = np.asarray(coeffs.a, dtype=np.float64)
     d = np.asarray(coeffs.d, dtype=np.float64)
     if pre is not None:
@@ -461,56 +453,10 @@ def synthesize(spec, ctx, coeffs):
 
 
 # ---------------------------------------------------------------------------
-# Zero-DC wrapping
-
-@dataclass(frozen=True)
-class ZeroDcSpec:
-    """Degree-scaled variant: analysis sees D^{1/2} x, synthesis emits
-    D^{-1/2} x, so constant inputs produce zero detail coefficients.  The
-    low-pass a is returned and taken in the signal domain, and a vertex
-    with no edge across the cut (degree 0) is scaled by 1: under the lazy
-    bank it keeps its own value as its detail."""
-
-    base: FilterBankSpec
-
-    @property
-    def mode(self):
-        return self.base.mode
-
-    @property
-    def family(self):
-        return "zero-dc:" + self.base.family
-
-
-def zero_dc_wrap(spec):
-    return ZeroDcSpec(base=spec)
-
-
-def _unwrap(spec, ctx):
-    if not isinstance(spec, ZeroDcSpec):
-        return spec, None
-    d = ctx.degree_scale
-    if d is None:
-        raise ValueError("context lacks degrees; build it with degrees=")
-    if not np.all(np.isfinite(d)) or np.any(d < 0):
-        raise ValueError("zero-DC wrapping requires finite degrees >= 0")
-    return spec.base, np.sqrt(np.where(d > 0, d, 1.0))
-
-
-# ---------------------------------------------------------------------------
 # Checkers
-
-def _spectrum_for_checks(ctx):
-    """(lam, kind): the context's computed spectrum when it has a basis,
-    else a grid on [0, 2], since the PR identities hold pointwise."""
-    if ctx.basis is not None:
-        return ctx.basis.lam, "computed"
-    return np.linspace(0.0, 2.0, 2001), "grid"
-
 
 def pr_conditions(spec, lam):
     """Pointwise violations of the two spectral PR identities."""
-    spec = spec.base if isinstance(spec, ZeroDcSpec) else spec
     h0, h1, g0, g1 = spec.h0, spec.h1, spec.g0, spec.g1
     lam = np.asarray(lam, dtype=np.float64)
     e1 = h0(lam) * g0(lam) + h1(lam) * g1(lam) - 2.0
@@ -528,7 +474,10 @@ def check_pr(spec, ctx, trials=10, seed=0, tol=None):
     """
     if tol is None:
         tol = 1e-8 if ctx.mode == "dense" else 1e-6
-    lam, spectrum = _spectrum_for_checks(ctx)
+    if ctx.basis is not None:
+        lam, spectrum = ctx.basis.lam, "computed"
+    else:  # the PR identities hold pointwise
+        lam, spectrum = np.linspace(0.0, 2.0, 2001), "grid"
     e1, e2 = pr_conditions(spec, lam)
     rng = np.random.default_rng(seed)
     rt = 0.0
@@ -598,7 +547,6 @@ def check_q_orthogonality(spec, ctx, trials=20, seed=0, tol=1e-8):
 
 def frame_bounds(spec):
     """(alpha, beta) from dense sampling of (h0^2 + h1^2)/2 on [0, 2]."""
-    spec = spec.base if isinstance(spec, ZeroDcSpec) else spec
     lam = np.linspace(0.0, 2.0, 10_000)
     s = 0.5 * (spec.h0(lam) ** 2 + spec.h1(lam) ** 2)
     return float(np.sqrt(np.min(s))), float(np.sqrt(np.max(s)))

@@ -32,6 +32,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 import scipy.sparse.csgraph as csgraph
 
+from .graphs import keep_entries
 from .sparse_core import NotPositiveDefinite
 
 DENSE_CAP_DEFAULT = 4096
@@ -322,13 +323,8 @@ def spectrum_properties(basis, partition, m=None):
         "one_multiplicity_ok": ones >= abs(na - nb),
     }
     if m is not None:
-        offdiag = sp.coo_array(m)
-        mask = offdiag.row != offdiag.col
-        adj = sp.coo_array(
-            (np.abs(offdiag.data[mask]), (offdiag.row[mask], offdiag.col[mask])),
-            shape=m.shape,
-        )
-        n_comp = csgraph.connected_components(adj.tocsr(), directed=False)[0]
+        adj = keep_entries(sp.csr_array(m), lambda i, j: i != j)
+        n_comp = csgraph.connected_components(adj, directed=False)[0]
         mult_min = int(np.sum(np.abs(lam - lam[0]) <= EIGENVALUE_TIE_TOL))
         report["components"] = int(n_comp)
         report["lambda_min_multiplicity"] = mult_min

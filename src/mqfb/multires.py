@@ -79,9 +79,7 @@ class DecompositionTree:
 
 def _spec_from_meta(meta):
     spec = fb.FilterBankSpec.from_json(meta["spec"])
-    if meta.get("zero_dc"):
-        spec = fb.zero_dc_wrap(spec)
-    return spec
+    return fb.zero_dc_wrap(spec) if meta.get("zero_dc") else spec
 
 
 def _level_context(ell, adjacency, partition, meta, order_b=None):
@@ -93,7 +91,7 @@ def _level_context(ell, adjacency, partition, meta, order_b=None):
         else:
             op = gb.combinatorial_operator(g)
         return fb.make_context(op, partition, mode=meta["mode"],
-                               degrees=g.degrees, order_b=order_b)
+                               order_b=order_b)
     except ValueError as e:
         raise type(e)(f"level {ell}: {e}") from e
 
@@ -113,8 +111,6 @@ def decompose(pc, spec, k, levels, seed, operator=None, baseline=False):
         raise ValueError("levels must be >= 1")
     if pc.channels < 1:
         raise ValueError("point cloud has no attribute channels")
-    zero_dc = isinstance(spec, fb.ZeroDcSpec)
-    base_spec = spec.base if zero_dc else spec
     if operator is None:
         operator = "norm" if baseline else "comb"  # BFB: normalized, Q = I
     elif baseline and operator != "norm":
@@ -128,10 +124,10 @@ def decompose(pc, spec, k, levels, seed, operator=None, baseline=False):
         "seed": seed,
         "operator": operator,
         "baseline": bool(baseline),
-        "mode": base_spec.mode,
-        "spec": base_spec.to_json(),
-        "zero_dc": zero_dc,
-        "family": base_spec.family,
+        "mode": spec.mode,
+        "spec": spec.to_json(),
+        "zero_dc": spec.zero_dc,
+        "family": spec.family,
         "min_level_points": MIN_LEVEL_POINTS,
         "stopped_early_at": None,
     }
@@ -379,6 +375,8 @@ def _read_meta(path):
     for key in ("spec", "operator", "baseline", "mode", "n"):
         if key not in meta:
             raise CorruptTree(f"{fname}: no {key!r} key")
+    if type(meta["n"]) is not int or meta["n"] < 0:
+        raise CorruptTree(f"{fname}: 'n' is {meta['n']!r}, not a point count")
     try:
         _spec_from_meta(meta)
     except (KeyError, TypeError, AttributeError, ValueError) as e:
@@ -412,36 +410,67 @@ def _read_arrays(fname, spec):
     return out
 
 
+def _level_from_arrays(fname, key, arrays, n, channels):
+    """Level ``key``'s LevelRecord, checked to fit ``n`` and ``channels``."""
+    def check(ok, member, why):
+        if not ok:
+            raise CorruptTree(f"{fname}: array {key + member!r}: {why}")
+
+    for member in ("indptr", "indices", "weights", "side_a"):
+        check(key + member in arrays, member, "missing from the tree")
+    indptr, packed = arrays[key + "indptr"], arrays[key + "side_a"]
+    # checked here: SciPy's check_format skips indptr's order at nnz 0
+    nnz = arrays[key + "indices"].size
+    check(indptr.shape == (n + 1,) and indptr[0] == 0 and indptr[-1] == nnz
+          and np.all(indptr[1:] >= indptr[:-1]), "indptr",
+          f"is not a row pointer from 0 to {nnz} over {n} rows")
+    try:
+        u = sp.csr_array((arrays[key + "weights"], arrays[key + "indices"],
+                          indptr), shape=(n, n))
+        u.check_format(full_check=True)
+    except (ValueError, TypeError) as e:
+        raise CorruptTree(f"{fname}: arrays '{key}indptr', '{key}indices' and "
+                          f"'{key}weights' are not a CSR of {n} rows: {e}") from e
+    check(packed.dtype == np.uint8 and packed.shape == ((n + 7) // 8,),
+          "side_a", f"{packed.dtype}{list(packed.shape)} does not pack {n} "
+          f"vertices")
+    f = np.where(np.unpackbits(packed, count=n), 1, -1)
+    check(abs(f.sum()) < n, "side_a", "one side of the partition is empty")
+    partition = gb.Partition(f)
+    details, nb = arrays[key + "details"], partition.b_idx.size
+    check(details.shape == (nb, channels), "details", f"shape "
+          f"{list(details.shape)}, not the {[nb, channels]} of its B side")
+    order_b = arrays.get(key + "order_b")
+    if order_b is not None:
+        try:
+            if order_b.dtype.kind != "u":
+                raise ValueError(f"dtype {order_b.dtype} is not unsigned")
+            fb.check_order(order_b, nb)
+        except ValueError as e:
+            check(False, "order_b", e)
+    return LevelRecord(partition=partition, adjacency=sp.csr_array(u + u.T),
+                       details=details, order_b=order_b)
+
+
 def load_tree(path):
     """Read a tree written by save_tree.
 
     A missing, truncated or corrupted file raises an OSError that names it
     (and the array, when one array is at fault); a directory written in
-    another layout raises TreeFormatError.
+    another layout raises TreeFormatError.  The arrays must also fit: each
+    level's CSR, side mask and details, and sizes chained from meta's n.
     """
     meta = _read_meta(path)
     fname = os.path.join(path, ARRAYS_FILE)
     arrays = _read_arrays(fname, meta.pop("arrays"))
-    levels = []
+    root = arrays.get("root")
+    if root is None or root.ndim != 2:
+        raise CorruptTree(f"{fname}: array 'root' is missing or not 2-D")
+    levels, n = [], meta["n"]
     while (key := f"level_{len(levels):02d}/") + "details" in arrays:
-        indptr = arrays[key + "indptr"]
-        n = indptr.size - 1
-        u = sp.csr_array((arrays[key + "weights"], arrays[key + "indices"],
-                          indptr), shape=(n, n))
-        side_a = np.unpackbits(arrays[key + "side_a"], count=n).astype(bool)
-        order_b = arrays.get(key + "order_b")
-        if order_b is not None:
-            try:
-                if order_b.dtype.kind != "u":
-                    raise ValueError(f"dtype {order_b.dtype} is not unsigned")
-                fb.check_order(order_b, n - int(side_a.sum()))
-            except ValueError as e:
-                raise CorruptTree(
-                    f"{fname}: array {key + 'order_b'!r}: {e}") from e
-        levels.append(LevelRecord(
-            partition=gb.Partition(np.where(side_a, 1, -1)),
-            adjacency=sp.csr_array(u + u.T),
-            details=arrays[key + "details"],
-            order_b=order_b,
-        ))
-    return DecompositionTree(levels=levels, root=arrays["root"], meta=meta)
+        levels.append(_level_from_arrays(fname, key, arrays, n, root.shape[1]))
+        n = levels[-1].partition.a_idx.size
+    if root.shape[0] != n:
+        raise CorruptTree(f"{fname}: array 'root' has {root.shape[0]} rows, "
+                          f"not the {n} vertices of the coarsest level")
+    return DecompositionTree(levels=levels, root=root, meta=meta)

@@ -14,6 +14,8 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
+from .graphs import keep_entries
+
 
 class NotPositiveDefinite(ValueError):
     """Factorization detected that the matrix is not positive definite."""
@@ -25,13 +27,8 @@ def build_block_diag_q(m, partition):
     Keeps the within-A and within-B entries of ``m`` and zeroes every
     cross entry, leaving vertices in their original order.
     """
-    f = np.asarray(partition.f, dtype=np.float64)
-    coo = sp.coo_array(m)
-    keep = f[coo.row] == f[coo.col]
-    q = sp.coo_array(
-        (coo.data[keep], (coo.row[keep], coo.col[keep])), shape=m.shape
-    )
-    return sp.csr_array(q)
+    f = partition.f
+    return keep_entries(sp.csr_array(m), lambda i, j: f[i] == f[j])
 
 
 class SpdSolver:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -23,6 +25,7 @@ from mqfb.filterbank import (
 )
 from mqfb.graphs import (
     Graph,
+    Operator,
     Partition,
     bipartize,
     combinatorial_laplacian,
@@ -45,7 +48,7 @@ def comb_context(n, seed, mode="dense", **kw):
     g = random_connected_graph(n, seed=seed)
     m = combinatorial_laplacian(g)
     p = random_partition(n, seed)
-    return make_context(m, p, mode=mode, degrees=g.degrees, **kw)
+    return make_context(m, p, mode=mode, **kw)
 
 
 def q_min_eigenvalue(m, p):
@@ -346,9 +349,9 @@ def test_blocks_from_the_graph_equal_laplacian_slices(graph_20k, name,
     factored = []
     real = fb.SpdSolver
 
-    def recording(matrix):
+    def recording(matrix, ordered=False):
         factored.append(matrix)
-        return real(matrix)
+        return real(matrix, ordered=ordered)
 
     monkeypatch.setattr(fb, "SpdSolver", recording)
     ctx = make_context(op, p, mode="poly")
@@ -361,6 +364,21 @@ def test_blocks_from_the_graph_equal_laplacian_slices(graph_20k, name,
         for attr in ("indptr", "indices", "data"):
             x, y = getattr(got, attr), getattr(ref, attr)
             assert x.dtype == y.dtype and np.array_equal(x, y), attr
+
+
+@pytest.mark.parametrize("mode", ["dense", "poly"])
+@pytest.mark.parametrize("laplacian", [combinatorial_laplacian,
+                                       normalized_laplacian])
+def test_a_plain_matrix_context_holds_the_input(mode, laplacian):
+    """A plain matrix is split into an Operator, whose assembly ``ctx.m``
+    and block-diagonal ``ctx.q`` have the input's values."""
+    g = random_connected_graph(40, seed=3)
+    m, p = laplacian(g), random_partition(40, 3)
+    ctx = make_context(m, p, mode=mode)
+    assert isinstance(ctx.operator, Operator)
+    np.testing.assert_array_equal(ctx.m.toarray(), m.toarray())
+    np.testing.assert_array_equal(ctx.q.toarray(),
+                                  build_block_diag_q(m, p).toarray())
 
 
 @pytest.mark.parametrize("spec", [lazy_spec(), orthogonal_cosine_spec()],
@@ -520,14 +538,15 @@ class TestZeroDc:
         # plain lazy bank already kills constants in the high-pass channel
         g, p = random_bipartite_graph(40, seed=6)
         lap = combinatorial_laplacian(g)
-        ctx = make_context(lap, p, mode="poly", degrees=g.degrees)
+        ctx = make_context(lap, p, mode="poly")
         c = analyze(lazy_spec(), ctx, np.ones(40))
         assert np.max(np.abs(c.d)) <= 1e-10
 
     def test_wrapped_normalized_bank_zero_detail(self):
+        # the degrees come from the operator, so the bank is given
+        # normalized_operator(g), not the assembled Laplacian
         g, p = random_bipartite_graph(40, seed=16)
-        ctx = make_context(normalized_laplacian(g), p, mode="poly",
-                           degrees=g.degrees)
+        ctx = make_context(normalized_operator(g), p, mode="poly")
         c = analyze(zero_dc_wrap(lazy_spec()), ctx, np.ones(40))
         assert np.max(np.abs(c.d)) <= 1e-10
 
@@ -566,13 +585,6 @@ class TestZeroDc:
         wrapped = self.z_times(ctx, np.sqrt(d) * x) / np.sqrt(d)
         np.testing.assert_allclose(wrapped, (lap @ x) / d, atol=1e-10)
 
-    def test_missing_degrees_raises(self):
-        g = random_connected_graph(20, seed=8)
-        p = random_partition(20, 8)
-        ctx = make_context(combinatorial_laplacian(g), p, mode="poly")
-        with pytest.raises(ValueError):
-            analyze(zero_dc_wrap(lazy_spec()), ctx, np.ones(20))
-
     @pytest.mark.parametrize("mode", ["poly", "dense"])
     def test_low_pass_in_signal_domain(self, mode):
         # the lazy low-pass is the identity on A, and a comes back unscaled
@@ -583,14 +595,15 @@ class TestZeroDc:
         assert np.linalg.norm(a - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_negative_degree_raises(self):
+        # the degrees zero-DC scales by are M's diagonal, so a negative one
+        # is rejected with its block before any filter runs
         g = random_connected_graph(20, seed=9)
         p = random_partition(20, 9)
         d = g.degrees.copy()
         d[3] = -1.0
-        ctx = make_context(combinatorial_laplacian(g), p, mode="poly",
-                           degrees=d)
-        with pytest.raises(ValueError, match="degrees >= 0"):
-            analyze(zero_dc_wrap(lazy_spec()), ctx, np.ones(20))
+        block = "M_AA" if p.f[3] == 1 else "M_BB"
+        with pytest.raises(NotPositiveDefinite, match=block):
+            make_context(Operator(d, g.adjacency), p, mode="poly")
 
 
 class TestSpecSerialization:
@@ -618,6 +631,56 @@ class TestSpecSerialization:
                               g0=ortho.g0, g1=Kernel(coeffs=(1.0, 2.0)))
         back = FilterBankSpec.from_json(spec.to_json())
         assert back == spec
+
+    @pytest.mark.parametrize("base", [
+        lazy_spec(), orthogonal_cosine_spec(mode="dense"),
+        FilterBankSpec(h0=Kernel(coeffs=(1.0, 0.5)),
+                       h1=Kernel(cheb=(0.0, 1.0)),
+                       g0=Kernel(coeffs=(2.0, -1.0)),
+                       g1=Kernel(name="cos_quarter"), mode="dense"),
+    ], ids=["lazy", "ortho-dense", "custom"])
+    def test_zero_dc_spec_roundtrip(self, base):
+        spec = zero_dc_wrap(base)
+        assert spec.zero_dc and not base.zero_dc
+        assert json.loads(spec.to_json())["zero_dc"] is True
+        assert "zero_dc" not in json.loads(base.to_json())
+        assert FilterBankSpec.from_json(spec.to_json()) == spec
+        assert FilterBankSpec.from_json(base.to_json()) == base
+
+    def test_monomials_are_converted_to_their_chebyshev_series(self):
+        # with lam = 1 + t, 2 - lam + 3 lam^2 = 4 + 5 t + 3 t^2, which is
+        # 5.5 T0 + 5 T1 + 1.5 T2
+        k = Kernel(coeffs=[2.0, -1.0, 3.0])
+        assert k == Kernel(cheb=(5.5, 5.0, 1.5))
+        assert k.to_json() == {"cheb": [5.5, 5.0, 1.5]}
+        lam = np.linspace(0.0, 2.0, 9)
+        np.testing.assert_allclose(k(lam), 2.0 - lam + 3.0 * lam**2,
+                                   rtol=0, atol=1e-13)
+
+    def test_an_empty_series_is_rejected(self):
+        # a spec read from JSON with an empty list used to reach analyze
+        # and fail there with an IndexError
+        for text in ('{"cheb": []}', '[]'):
+            with pytest.raises(ValueError):
+                Kernel.from_json(json.loads(text))
+
+    def test_a_list_form_custom_kernel_still_loads(self):
+        text = json.dumps({"family": "custom", "mode": "poly", "kernels": {
+            "h0": [1.0], "h1": [0.0, 1.0], "g0": [2.0, -1.0], "g1": [1.0]}})
+        spec = FilterBankSpec.from_json(text)
+        lazy = lazy_spec()
+        for name in ("h0", "h1", "g0", "g1"):
+            assert spec.kernels()[name] == lazy.kernels()[name]
+
+    @pytest.mark.parametrize("call", ["analyze", "synthesize"])
+    def test_named_kernels_on_a_poly_context_raise(self, call):
+        ctx = comb_context(30, 2, mode="poly")
+        spec = orthogonal_cosine_spec(mode="dense")
+        c = ChannelCoefficients(a=np.ones(ctx.partition.a_idx.size),
+                                d=np.ones(ctx.partition.b_idx.size))
+        arg = np.ones(30) if call == "analyze" else c
+        with pytest.raises(NotPolynomial, match="'cos_quarter'"):
+            getattr(fb, call)(spec, ctx, arg)
 
     def test_poly_mode_requires_polynomials(self):
         with pytest.raises(NotPolynomial):

@@ -386,6 +386,26 @@ class TestTreeSerialization:
         np.testing.assert_array_equal(reconstruct(loaded), want)
         assert modes == ["dense", "dense"]
 
+    def test_zero_dc_tree_in_the_older_meta_layout_loads(self, tmp_path):
+        """A zero-DC tree whose meta.json holds the base spec and a
+        separate "zero_dc" key, as trees were written before the spec
+        carried the flag, loads as zero-DC and decodes."""
+        pc = small_cloud(500)
+        spec = fb.zero_dc_wrap(fb.lazy_spec())
+        tree = decompose(pc, spec, k=10, levels=3, seed=4, baseline=True)
+        assert json.loads(tree.meta["spec"])["zero_dc"] is True
+        save_tree(tree, tmp_path)
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        meta["spec"] = fb.lazy_spec().to_json()
+        assert meta["zero_dc"] is True
+        (tmp_path / "meta.json").write_text(json.dumps(meta, indent=2))
+        loaded = load_tree(tmp_path)
+        assert multires._spec_from_meta(loaded.meta) == spec
+        rec = reconstruct(loaded)
+        np.testing.assert_array_equal(rec, reconstruct(tree))
+        rel = np.linalg.norm(rec - pc.attributes) / np.linalg.norm(pc.attributes)
+        assert rel <= 1e-10
+
     @pytest.mark.parametrize("baseline", [False, True])
     def test_roundtrip_bit_exact_at_20k(self, tmp_path, baseline,
                                         monkeypatch):
@@ -549,6 +569,82 @@ class TestEliminationOrders:
             lv.order_b = lv.order_b[1:]
         with pytest.raises(ValueError, match="level 1: M_BB order"):
             reconstruct(tree)
+
+
+def _index_past_n(a):
+    a["level_00/indices"][0] = a["level_00/indptr"].size - 1
+    return "level_00/indices"
+
+
+def _decreasing_indptr(a):
+    a["level_00/indptr"][1] = a["level_00/indptr"][2] + 1
+    return "level_00/indptr"
+
+
+def _short_side_a(a):
+    a["level_01/side_a"] = a["level_01/side_a"][:-1]
+    return "level_01/side_a"
+
+
+def _short_details(a):
+    a["level_01/details"] = a["level_01/details"][:-1]
+    return "level_01/details"
+
+
+def _extra_channel(a):
+    a["level_02/details"] = np.hstack([a["level_02/details"]] * 2)
+    return "level_02/details"
+
+
+def _long_level(a):
+    a["level_01/indptr"] = np.append(a["level_01/indptr"],
+                                     a["level_01/indptr"][-1])
+    return "level_01/indptr"
+
+
+def _short_root(a):
+    a["root"] = a["root"][:-1]
+    return "root"
+
+
+def _missing_member(a):
+    del a["level_01/side_a"]
+    return "level_01/side_a"
+
+
+class TestLoadChecksTheArraysFit:
+    """Arrays that pass their crc32 (rewritten with a matching spec in
+    meta.json) but do not fit together make `mqfb reconstruct` exit 3 with
+    the array's name, not crash or fail inside numpy or SciPy."""
+
+    @pytest.mark.parametrize("corrupt", [
+        _index_past_n, _decreasing_indptr, _short_side_a, _short_details,
+        _extra_channel, _long_level, _short_root, _missing_member])
+    def test_reconstruct_exits_3_naming_the_array(self, tmp_path, capsys,
+                                                  corrupt):
+        from mqfb.cli import EXIT_IO, main
+
+        tree = decompose(small_cloud(), fb.lazy_spec(), k=4, levels=3, seed=9)
+        save_tree(tree, tmp_path / "t")
+        with np.load(tmp_path / "t" / "tree.npz") as z:
+            arrays = dict(z)
+        name = corrupt(arrays)
+        _rewrite_array(tmp_path / "t", name, arrays.get(name))
+        code = main(["reconstruct", "--input", str(tmp_path / "t"),
+                     "--out", str(tmp_path / "x.bin")])
+        assert code == EXIT_IO
+        err = capsys.readouterr().err
+        assert "tree.npz: array" in err and f"{name!r}" in err, err
+
+    @pytest.mark.parametrize("n", ["400", -1, 401])
+    def test_a_point_count_that_does_not_fit_is_rejected(self, tmp_path, n):
+        tree = decompose(small_cloud(), fb.lazy_spec(), k=4, levels=3, seed=9)
+        save_tree(tree, tmp_path)
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        meta["n"] = n
+        (tmp_path / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(CorruptTree, match="'n' is|'level_00/indptr'"):
+            load_tree(tmp_path)
 
 
 @pytest.fixture(scope="module")

@@ -8,17 +8,27 @@ meets every connected component, so Q > 0 by construction.  The property
 tests are derandomized, so every run draws the same examples.
 """
 
+import json
+import zlib
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from mqfb import filterbank as fb
 from mqfb import graphs as gb
 from mqfb.cli import EXIT_OK, main
 from mqfb.gft import DENSE_CAP_DEFAULT
-from mqfb.multires import decompose, load_tree, reconstruct, save_tree
+from mqfb.multires import (
+    CorruptTree,
+    decompose,
+    load_tree,
+    reconstruct,
+    save_tree,
+)
 from mqfb.synthetic import gaussian_blob_cloud
 
 ARMS = {
@@ -205,3 +215,33 @@ def test_zero_dc_baseline_runs_past_isolated_vertices(tmp_path):
     rec = reconstruct(load_tree(tmp_path / "t"))
     x = pc.attributes
     assert np.linalg.norm(rec - x) <= 1e-8 * np.linalg.norm(x)
+
+
+@pytest.fixture(scope="module")
+def tree_500(tmp_path_factory):
+    """A saved 500-point lazy tree: its directory, arrays and meta.json."""
+    path = tmp_path_factory.mktemp("tree_500")
+    save_tree(decompose(gaussian_blob_cloud(500, seed=0), fb.lazy_spec(),
+                        k=5, levels=3, seed=0), path)
+    with np.load(path / "tree.npz") as z:
+        arrays = dict(z)
+    return path, arrays, json.loads((path / "meta.json").read_text())
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(data=st.data())
+def test_a_rewritten_array_loads_or_raises_cleanly(tree_500, data):
+    """One member overwritten with arbitrary values of its shape and dtype,
+    its crc32 updated in meta.json, either decodes or raises CorruptTree or
+    ValueError: never IndexError, KeyError, TypeError or a crash."""
+    path, arrays, meta = tree_500
+    name = data.draw(st.sampled_from(sorted(arrays)))
+    new = data.draw(hnp.arrays(arrays[name].dtype, arrays[name].shape))
+    np.savez(path / "tree.npz", **{**arrays, name: new})
+    spec = dict(meta["arrays"][name], crc32=zlib.crc32(new))
+    (path / "meta.json").write_text(json.dumps(
+        {**meta, "arrays": {**meta["arrays"], name: spec}}))
+    try:
+        reconstruct(load_tree(path))
+    except (CorruptTree, ValueError):
+        pass
