@@ -5,7 +5,9 @@ lazy bank runs as a degree-1 polynomial of the fundamental matrix (one
 sparse mat-vec plus one sparse SPD solve).  The orthogonal bank preserves
 the Q-norm; on the sparse path it is a degree-12 Chebyshev series in
 Z - I, whose spectrum folding puts in [-1, 1], and it matches the dense
-eigenbasis reference to roundoff.
+eigenbasis reference to roundoff.  One context serves both: a spec's mode
+alone picks the path, and the dense basis is built from the same blocks
+on first use.
 """
 
 import numpy as np
@@ -31,23 +33,22 @@ p = random_partition(n, seed=7)
 x = np.random.default_rng(0).standard_normal(n)
 
 # lazy bank on the sparse path
-ctx_poly = make_context(m, p, mode="poly")
+ctx = make_context(m, p)
 lazy = lazy_spec()
-coeffs = analyze(lazy, ctx_poly, x)
-xr = synthesize(lazy, ctx_poly, coeffs)
+coeffs = analyze(lazy, ctx, x)
+xr = synthesize(lazy, ctx, coeffs)
 print(f"lazy: |a|={coeffs.a.size}, |d|={coeffs.d.size} (critically sampled)")
 print(f"lazy round-trip rel error: "
       f"{np.linalg.norm(xr - x) / np.linalg.norm(x):.3e}")
 
 # orthogonal bank on the sparse path, against the dense reference
 ortho = orthogonal_cosine_spec()
-rep = check_pr(ortho, ctx_poly)
+rep = check_pr(ortho, ctx)
 print(f"ortho PR round-trip: {rep['max_roundtrip_rel_error']:.3e}")
-rep = check_q_orthogonality(ortho, ctx_poly)
+rep = check_q_orthogonality(ortho, ctx)
 print(f"ortho Parseval violation: {rep['max_parseval_violation']:.3e}")
-ctx_dense = make_context(m, p, mode="dense")
-c_poly = analyze(ortho, ctx_poly, x)
-c_dense = analyze(orthogonal_cosine_spec(mode="dense"), ctx_dense, x)
+c_poly = analyze(ortho, ctx, x)
+c_dense = analyze(orthogonal_cosine_spec(mode="dense"), ctx, x)
 gap = max(np.linalg.norm(c_poly.a - c_dense.a) / np.linalg.norm(c_dense.a),
           np.linalg.norm(c_poly.d - c_dense.d) / np.linalg.norm(c_dense.d))
 print(f"ortho poly vs dense analysis rel difference: {gap:.3e}")

@@ -1,18 +1,20 @@
 """Two-channel analysis/synthesis on arbitrary graphs.
 
-Filters are scalar kernels of the generalized spectrum, applied either
-densely through an explicit eigenbasis or as polynomials of the fundamental
-matrix Z = Q^{-1} M.  Q is the block-diagonal of M, so S = Z - I only swaps
-the sides A and B and its spectrum lies in [-1, 1] by spectral folding:
-poly mode sums a Chebyshev series in S by one three-term recurrence (one
+Filters are scalar kernels of the generalized spectrum; a spec's mode
+alone picks how they are applied, on any context: "dense" through an
+explicit eigenbasis, "poly" as polynomials of the fundamental matrix
+Z = Q^{-1} M.  Q is the block-diagonal of M, so S = Z - I only swaps the
+sides A and B and its spectrum lies in [-1, 1] by spectral folding: poly
+mode sums a Chebyshev series in S by one three-term recurrence (one
 product with each off-diagonal block of M and one solve with each of M_AA
 and M_BB per degree), with no eigenbasis and no spectral bound.  The lazy
 bank is the degree-1 recurrence, which is the lifting step: one product
 with M_BA and one solve with M_BB, and M_AA is never factored.
 A context cuts those blocks from the adjacency W (graphs.Operator),
 checks the A block on W_AA with no factor (the normalized M_AA by its
-congruence to the combinatorial one) and builds the n x n M and Q only
-on first use, for dense mode and the checkers.
+congruence to the combinatorial one), factors M_BB and folds the dense
+basis from the same blocks on first use; it builds the n x n M and Q
+only for the checkers.
 A plain matrix is split into an Operator too.  Ships the lazy
 biorthogonal design and the orthogonal cosine design (poly by default, as
 its degree-12 Chebyshev interpolant; dense mode keeps the closed form as
@@ -29,9 +31,9 @@ from dataclasses import InitVar, dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .gft import _columns, gft_forward, gft_inverse, mq_eigendecompose
-# not called here; perfbench's tracer wraps dense filtering under this name
-from .gft import dense_spectral_filter  # noqa: F401
+from .gft import _columns, folded_basis, gft_forward, gft_inverse
+# not called here; perfbench's tracer wraps these under these names
+from .gft import dense_spectral_filter, mq_eigendecompose  # noqa: F401
 from .graphs import Operator
 from .sparse_core import (
     NotPositiveDefinite,
@@ -80,15 +82,6 @@ class Kernel:
             if not self.cheb:
                 raise ValueError("empty Chebyshev series")
 
-    @functools.cached_property
-    def chebyshev(self):
-        """``cheb`` as a read-only array; a named kernel raises NotPolynomial."""
-        if self.cheb is None:
-            raise NotPolynomial(f"kernel {self.name!r} is not a polynomial")
-        c = np.array(self.cheb)
-        c.setflags(write=False)
-        return c
-
     def __call__(self, lam):
         lam = np.asarray(lam, dtype=np.float64)
         if self.cheb is not None:
@@ -109,7 +102,7 @@ class Kernel:
 
 @dataclass(frozen=True)
 class FilterBankSpec:
-    """Four kernels plus an implementation mode ("dense" or "poly").
+    """Four kernels plus the mode ("dense" or "poly") that picks their path.
 
     ``zero_dc`` (zero_dc_wrap) scales by C, the context Operator's
     ``congruent_diag``: analysis sees C^{1/2} x, synthesis emits C^{-1/2} x,
@@ -218,24 +211,24 @@ class ChannelCoefficients:
 
 
 class FilterContext:
-    """Everything needed to apply spectral filters for one (M, partition).
+    """Everything needed to apply spectral filters for one (M, partition),
+    in either mode: the spec that filters picks the path.
 
     ``operator`` is ``m``, a graphs.Operator, or a plain symmetric ``m``
     split into one; the assembled M (``ctx.m``) and the block-diagonal Q
-    (``ctx.q``) are built from it on first use.
+    (``ctx.q``) are built from it on first use, for the checkers only.
 
-    Dense mode carries a basis with ``lam``, ``forward`` and ``inverse``:
-    from make_context a FoldedBasis (sparse Cholesky factors of M_AA and
-    M_BB and the dense SVD factors of the folded pencil, about n^2 / 2
-    floats, filtered through without forming the n x n eigenvector
-    matrix), or an explicit GftBasis passed in.  It is the reference path
-    and stops at the dense cap.  Poly mode carries ``m_ba`` (M_BA) and
-    ``solver_b`` (the factor of M_BB), which every poly filter reads;
-    ``solver_a``, the factor of M_AA that filters of degree 2 and up (or
-    with a degree-1 A-side term) need, is built on first use from W_AA.
-    Poly filters solve with Q by blocks, with those two factors and never
-    a factor of the n x n Q (so they use the block-diagonal Q of M even
-    when a different ``q`` was passed in).
+    Poly filters read ``m_ba`` (M_BA) and ``solver_b`` (the factor of
+    M_BB), which make_context builds, and ``solver_a``, the factor of M_AA
+    that filters of degree 2 and up (or with a degree-1 A-side term) need,
+    built on first use from W_AA.  They solve with Q by blocks, so they use
+    the block-diagonal Q of M even when a different ``q`` was passed in.
+    Dense filters read ``basis`` (``lam``, ``forward``, ``inverse``): a
+    gft.FoldedBasis built on first use from the same M_AA, M_BA and M_BB,
+    B in ``b_rows`` order (sparse Cholesky factors of M_AA and M_BB and
+    the dense SVD factors of the folded pencil, about n^2 / 2 floats, with
+    no n x n eigenvector matrix), or an explicit GftBasis passed in.  It
+    is the reference path and stops at the dense cap.
     ``b_rows`` are the B vertices in the order of M_BB's rows: ``b_idx``,
     or ``b_idx[order_b]`` for an elimination order ``order_b`` of M_BB, so
     M_BA, M_BB and every B-side vector of the poly recurrence are in that
@@ -244,18 +237,18 @@ class FilterContext:
     through ``b_rows``.
     """
 
-    def __init__(self, m, partition, mode, q=None, basis=None, order_b=None):
+    def __init__(self, m, partition, q=None, basis=None, order_b=None):
         self.operator = m if isinstance(m, Operator) else Operator.of_matrix(m)
         self.partition = partition
         self.n = partition.n
-        self.mode = mode
         self.order_b = order_b
         b = partition.b_idx
         self.b_rows = b if order_b is None else b[order_b]
-        self.basis = basis
         self.m_ba = self.solver_b = None
         if q is not None:
             self.q = q
+        if basis is not None:
+            self.basis = basis
 
     @functools.cached_property
     def m(self):
@@ -276,6 +269,12 @@ class FilterContext:
         return _named("M_AA", SpdSolver,
                       self.operator.principal_block(self._w_aa, a))
 
+    @functools.cached_property
+    def basis(self):
+        op, a, b = self.operator, self.partition.a_idx, self.b_rows
+        return folded_basis(a, b, op.principal_block(self._w_aa, a), self.m_ba,
+                            op.principal_block(op.adjacency[b][:, b], b))
+
 
 def _named(block, build, *args, **kwargs):
     """build(*args, **kwargs); a NotPositiveDefinite it raises names
@@ -295,43 +294,39 @@ def check_order(order_b, nb):
                          f"is not a permutation of the {nb} B rows")
 
 
-def make_context(m, partition, mode="poly", order_b=None):
+def make_context(m, partition, order_b=None):
     """Build a FilterContext for Q = block-diagonal of M under the partition.
 
     Raises NotPositiveDefinite, naming the block (M_AA or M_BB), when Q is
-    not positive definite.  Poly mode slices W's B rows once into W_BA and
-    W_BB: M_BA is W_BA negated or scaled, and M_BB goes to SpdSolver as its
-    own CSC.  The A block is decided with no factor, by Taussky's test on
+    not positive definite.  Slices W's B rows once into W_BA and W_BB: M_BA
+    is W_BA negated or scaled, and M_BB goes to SpdSolver as its own CSC.
+    The A block is decided with no factor, by Taussky's test on
     diag(c_A) - W_AA (see Operator: c is the degrees for both Laplacians);
-    only a plain matrix that is not Laplacian-like has M_AA factored.
+    only a plain matrix that is not Laplacian-like has M_AA factored.  A
+    dense filter's basis is built from these blocks on first use.
 
     ``order_b`` is an elimination order of M_BB, such as an earlier
     context's ``solver_b.order`` (see FilterContext); one that is not a
-    permutation of the B side raises ValueError.  Dense mode ignores it.
+    permutation of the B side raises ValueError.
     """
     if order_b is not None:
         check_order(order_b, partition.b_idx.size)
-    ctx = FilterContext(m, partition, mode, order_b=order_b)
-    if mode == "dense":
-        ctx.basis = mq_eigendecompose(ctx.m, ctx.q, partition=partition)
-    elif mode == "poly":
-        op, a, b = ctx.operator, partition.a_idx, ctx.b_rows
-        w_b = op.adjacency[b]
-        w_ba, w_bb = w_b[:, a], w_b[:, b]
-        if op.adjacency.nnz == 2 * w_ba.nnz + w_bb.nnz:  # no edge within A
-            ctx._w_aa = sp.csr_array((a.size, a.size))
-        if not _named("M_AA", check_positive_definite,
-                      op.congruent_diag[a], ctx._w_aa):
-            ctx.solver_a  # the structure does not decide; the factor does
-        w_ba.data = op.off(w_ba, b, a)
-        ctx.m_ba = w_ba
-        # cut in an elimination order, each row's columns come out of
-        # order; sorted here, M_BB reaches SuperLU in canonical form
-        w_bb.sort_indices()
-        ctx.solver_b = _named("M_BB", SpdSolver, op.principal_block(w_bb, b),
-                              ordered=order_b is not None)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    ctx = FilterContext(m, partition, order_b=order_b)
+    op, a, b = ctx.operator, partition.a_idx, ctx.b_rows
+    w_b = op.adjacency[b]
+    w_ba, w_bb = w_b[:, a], w_b[:, b]
+    if op.adjacency.nnz == 2 * w_ba.nnz + w_bb.nnz:  # no edge within A
+        ctx._w_aa = sp.csr_array((a.size, a.size))
+    if not _named("M_AA", check_positive_definite,
+                  op.congruent_diag[a], ctx._w_aa):
+        ctx.solver_a  # the structure does not decide; the factor does
+    w_ba.data = op.off(w_ba, b, a)
+    ctx.m_ba = w_ba
+    # cut in an elimination order, each row's columns come out of order;
+    # sorted here, M_BB reaches SuperLU in canonical form
+    w_bb.sort_indices()
+    ctx.solver_b = _named("M_BB", SpdSolver, op.principal_block(w_bb, b),
+                          ordered=order_b is not None)
     return ctx
 
 
@@ -370,7 +365,7 @@ def _chebyshev(ctx, xa, xb, ca, cb):
 
 def _series(*kernels):
     """Each kernel's Chebyshev coefficients, zero-padded to one length."""
-    cs = [k.chebyshev for k in kernels]
+    cs = [np.array(k.cheb) for k in kernels]
     size = max(c.size for c in cs)
     return [np.pad(c, (0, size - c.size)) for c in cs]
 
@@ -388,15 +383,17 @@ def _dense_analyze(ctx, h0, h1, x):
             y[ctx.partition.b_idx, c:].reshape((-1,) + tail))
 
 
-def _dense_synthesize(ctx, g0, g1, up_a, up_b):
-    """U (g0(Lam) U^T Q up_a + g1(Lam) U^T Q up_b): both channels' forward
-    GFTs side by side, then one inverse GFT."""
-    basis = ctx.basis
-    c = _columns(up_a).shape[1]
-    xhat = gft_forward(basis, np.hstack([_columns(up_a), _columns(up_b)]))
+def _dense_synthesize(ctx, g0, g1, a, d):
+    """U (g0(Lam) U^T Q up_A(a) + g1(Lam) U^T Q up_B(d)): both channels'
+    forward GFTs side by side, then one inverse GFT."""
+    basis, c = ctx.basis, _columns(a).shape[1]
+    up = np.zeros((ctx.n, 2 * c))
+    up[ctx.partition.a_idx, :c] = _columns(a)
+    up[ctx.partition.b_idx, c:] = _columns(d)
+    xhat = gft_forward(basis, up)
     y = gft_inverse(basis, g0(basis.lam)[:, None] * xhat[:, :c]
                     + g1(basis.lam)[:, None] * xhat[:, c:])
-    return y.reshape(up_a.shape)
+    return y.reshape((ctx.n,) + a.shape[1:])
 
 
 def analyze(spec, ctx, x):
@@ -406,7 +403,7 @@ def analyze(spec, ctx, x):
     if pre is not None:
         x = (x.T * pre).T
     a_idx = ctx.partition.a_idx
-    if ctx.mode == "dense":
+    if spec.mode == "dense":
         a, d = _dense_analyze(ctx, spec.h0, spec.h1, x)
     else:
         # a needs only the A rows of h0(S) x and d the B rows of h1(S) x, so
@@ -428,14 +425,8 @@ def synthesize(spec, ctx, coeffs):
     d = np.asarray(coeffs.d, dtype=np.float64)
     if pre is not None:
         a = (a.T * pre[ctx.partition.a_idx]).T
-    shape = (ctx.n,) + a.shape[1:]
-    x = np.empty(shape)
-    if ctx.mode == "dense":
-        up_a = np.zeros(shape)
-        up_b = np.zeros(shape)
-        up_a[ctx.partition.a_idx] = a
-        up_b[ctx.partition.b_idx] = d
-        x = _dense_synthesize(ctx, spec.g0, spec.g1, up_a, up_b)
+    if spec.mode == "dense":
+        x = _dense_synthesize(ctx, spec.g0, spec.g1, a, d)
     else:
         # S swaps the sides, so T_k(S) upsample_A(a) lies on A for even k and
         # on B for odd k, and T_k(S) upsample_B(d) on the other side: one
@@ -445,6 +436,7 @@ def synthesize(spec, ctx, coeffs):
             d = d[ctx.order_b]
         g0, g1 = _series(spec.g0, spec.g1)
         even = np.arange(g0.size) % 2 == 0
+        x = np.empty((ctx.n,) + a.shape[1:])
         x[ctx.partition.a_idx], x[ctx.b_rows] = _chebyshev(
             ctx, a, d, np.where(even, g0, g1), np.where(even, g1, g0))
     if pre is not None:
@@ -468,16 +460,16 @@ def check_pr(spec, ctx, trials=10, seed=0, tol=None):
     """Evaluate the spectral PR identities on the spectrum and run random
     round-trip trials through analyze/synthesize.
 
-    A context without a basis (poly mode) has its identities evaluated on a
-    grid over [0, 2] instead of a computed spectrum; the report's
-    "spectrum" says which.
+    A dense spec checks the identities on the context's spectrum (``tol``
+    1e-8 by default); a poly spec needs no eigenbasis and checks them on a
+    grid over [0, 2] (``tol`` 1e-6).  The report's "spectrum" says which.
     """
-    if tol is None:
-        tol = 1e-8 if ctx.mode == "dense" else 1e-6
-    if ctx.basis is not None:
+    if spec.mode == "dense":
         lam, spectrum = ctx.basis.lam, "computed"
+        tol = 1e-8 if tol is None else tol
     else:  # the PR identities hold pointwise
         lam, spectrum = np.linspace(0.0, 2.0, 2001), "grid"
+        tol = 1e-6 if tol is None else tol
     e1, e2 = pr_conditions(spec, lam)
     rng = np.random.default_rng(seed)
     rt = 0.0

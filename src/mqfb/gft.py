@@ -6,8 +6,8 @@ side B maps a lambda-eigenvector to a (2 - lambda)-eigenvector; the checks
 here verify that folding, the [0, 2] spectrum range, and the forced
 multiplicity at lambda = 1.
 
-Given the partition, ``mq_eigendecompose`` builds the basis from that
-structure: with Cholesky factors M_AA = L_A L_A^T and M_BB = L_B L_B^T the
+``folded_basis`` builds the basis from the blocks M_AA, M_BA and M_BB
+alone: with Cholesky factors M_AA = L_A L_A^T and M_BB = L_B L_B^T the
 pencil becomes I + [0 T; T^T 0] with T = L_A^{-1} M_AB L_B^{-T}, so one
 |A| x |B| SVD T = P diag(s) R^T gives every eigenpair, and folding holds by
 construction.  The resulting FoldedBasis keeps only s, the dense P and R
@@ -16,9 +16,10 @@ triangular factors, and transforms in those coordinates: a forward GFT is
 two sparse triangular and two half-size dense products, an inverse two
 half-size products and two sparse triangular solves.  Building it makes
 no back-solved eigenvectors and no n x n array; the eigenvector matrix U
-is assembled only when a checker asks for ``u``.  Without the partition
-a generic n x n generalized eigensolver builds an explicit GftBasis; the
-checkers here verify folding independently on a basis built that way.
+is assembled only when a checker asks for ``u``.  ``mq_eigendecompose``,
+a generic n x n generalized eigensolver of any (M, Q), builds an explicit
+GftBasis; the checkers here verify folding independently on a basis built
+that way.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ class DenseCapExceeded(ValueError):
 
 
 class WrongInnerProduct(ValueError):
-    """GftBasis was built with a different Q than the check assumes."""
+    """A basis and a partition have different sizes."""
 
 
 @dataclass(frozen=True)
@@ -75,17 +76,16 @@ class FoldedBasis:
     -L_B^{-T} r_k) / sqrt2 at lambda = 1 - s_k, eigenvector n-1-k is
     (L_A^{-T} p_k, L_B^{-T} r_k) / sqrt2 at 1 + s_k, and the columns of P
     or R past r (larger side only, zero on the other) sit at lambda = 1.
-    ``u`` assembles that n x n matrix on first access; the transforms never
-    do.  ``lat`` and ``lbt`` hold L_A^T and L_B^T as sparse CSR: the
-    Cholesky factor of a graph's block keeps about the block's own
-    sparsity.
+    ``a`` and ``b`` are the vertices of L_A's and L_B's rows.  ``u``
+    assembles that n x n matrix on first access; the transforms never do.
+    ``lat`` and ``lbt`` hold L_A^T and L_B^T as sparse CSR: the Cholesky
+    factor of a graph's block keeps about the block's own sparsity.
     """
 
-    def __init__(self, q, partition, lat, lbt, p, s, r):
-        self.q = q
-        self.partition = partition
+    def __init__(self, a, b, lat, lbt, p, s, r):
+        self.a, self.b = a, b
         self.lat, self.lbt, self.p, self.s, self.r = lat, lbt, p, s, r
-        n, k = partition.n, s.size
+        n, k = a.size + b.size, s.size
         self.lam = np.concatenate([1.0 - s, np.ones(n - 2 * k), 1.0 + s[::-1]])
 
     @property
@@ -95,8 +95,8 @@ class FoldedBasis:
     def forward(self, x):
         """x_hat = U^T Q x from alpha = P^T L_A^T x_A, beta = R^T L_B^T x_B."""
         xs = _columns(x)
-        alpha = self.p.T @ (self.lat @ xs[self.partition.a_idx])
-        beta = self.r.T @ (self.lbt @ xs[self.partition.b_idx])
+        alpha = self.p.T @ (self.lat @ xs[self.a])
+        beta = self.r.T @ (self.lbt @ xs[self.b])
         n, k = self.n, self.s.size
         c = np.sqrt(0.5)
         xhat = np.empty((n, xs.shape[1]))
@@ -112,7 +112,7 @@ class FoldedBasis:
         n, k = self.n, self.s.size
         c = np.sqrt(0.5)
         lo, hi = ys[:k], ys[n - k:][::-1]
-        a, b = self.partition.a_idx, self.partition.b_idx
+        a, b = self.a, self.b
         ya = np.empty((a.size, ys.shape[1]))
         yb = np.empty((b.size, ys.shape[1]))
         ya[:k] = c * (hi + lo)
@@ -145,31 +145,22 @@ def _sign_of_largest(v):
     return np.sign(v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])])
 
 
-def mq_eigendecompose(m, q, partition=None):
-    """Solve M u = lambda Q u densely; Q must be PD and n at most
-    DENSE_CAP_DEFAULT (else DenseCapExceeded, before anything is densified).
+def mq_eigendecompose(m, q):
+    """Solve M u = lambda Q u densely with a generic generalized
+    eigensolver; Q must be PD and n at most DENSE_CAP_DEFAULT (else
+    DenseCapExceeded, before anything is densified).
 
-    With ``partition``, Q must be the block-diagonal of M under it (else
-    WrongInnerProduct) and the result is a FoldedBasis built from one SVD;
-    its signs are fixed on the factors: each column of P has its first
-    entry of largest magnitude positive, r_k flips with p_k for k < r, and
-    R's columns past r follow the same rule as P's.  Otherwise a generic
-    generalized eigensolver gives a GftBasis whose eigenvectors each have
-    their first component of largest magnitude positive.  Either way the
-    eigenvalues are nondecreasing.
+    The GftBasis's eigenvalues are nondecreasing and each eigenvector has
+    its first component of largest magnitude positive.
     """
-    n = m.shape[0]
-    if n > DENSE_CAP_DEFAULT:
+    if (n := m.shape[0]) > DENSE_CAP_DEFAULT:
         raise DenseCapExceeded(f"n={n} exceeds dense cap {DENSE_CAP_DEFAULT}")
-    q_sparse = sp.csr_array(q)
-    if partition is not None:
-        return _folded_basis(sp.csr_array(m), q_sparse, partition)
     try:
         lam, u = scipy.linalg.eigh(_dense(m), _dense(q))
     except scipy.linalg.LinAlgError as e:
         raise NotPositiveDefinite(str(e)) from e
     u *= _sign_of_largest(u)
-    return GftBasis(u=u, lam=lam, q=q_sparse)
+    return GftBasis(u=u, lam=lam, q=sp.csr_array(q))
 
 
 def _cholesky(block, name):
@@ -191,23 +182,22 @@ def _cholesky(block, name):
     return low
 
 
-def _folded_basis(m, q, partition):
-    """FoldedBasis of the pencil (M, blockdiag(M_AA, M_BB)) from one SVD."""
-    if partition.n != m.shape[0]:
-        raise WrongInnerProduct("partition size does not match M")
-    f = partition.f
-    scale = max(float(np.max(np.abs(m.data))) if m.nnz else 1.0, 1.0)
-    diff = sp.coo_array(m - q)
-    cross = sp.coo_array(q)
-    if (np.any(np.abs(diff.data[f[diff.row] == f[diff.col]]) > 1e-12 * scale)
-            or np.any(cross.data[f[cross.row] != f[cross.col]] != 0)):
-        raise WrongInnerProduct(
-            "Q is not the block-diagonal of M under the partition")
-    a, b = partition.a_idx, partition.b_idx
-    rows_a = m[a]
-    la = _cholesky(rows_a[:, a].toarray(), "M_AA")
-    lb = _cholesky(m[b][:, b].toarray(), "M_BB")
-    t = scipy.linalg.solve_triangular(la, rows_a[:, b].toarray(), lower=True)
+def folded_basis(a, b, m_aa, m_ba, m_bb):
+    """FoldedBasis of the pencil (M, blockdiag(M_AA, M_BB)) from one SVD.
+
+    ``a`` and ``b`` are the vertices of the rows of ``m_aa`` and ``m_bb``
+    (``m_ba`` is M_BA with its rows and columns in those orders);
+    |A| + |B| must be at most DENSE_CAP_DEFAULT (else DenseCapExceeded,
+    before anything is densified).  Signs are fixed on the factors: each
+    column of P has its first entry of largest magnitude positive, r_k
+    flips with p_k for k < r, and R's columns past r follow the same rule
+    as P's.  The eigenvalues are nondecreasing.
+    """
+    if (n := a.size + b.size) > DENSE_CAP_DEFAULT:
+        raise DenseCapExceeded(f"n={n} exceeds dense cap {DENSE_CAP_DEFAULT}")
+    la = _cholesky(_dense(m_aa), "M_AA")
+    lb = _cholesky(_dense(m_bb), "M_BB")
+    t = scipy.linalg.solve_triangular(la, _dense(m_ba).T, lower=True)
     t = scipy.linalg.solve_triangular(lb, t.T, lower=True).T
     lat, lbt = sp.csr_array(la.T), sp.csr_array(lb.T)
     del la, lb  # the dense factors need not live through the SVD
@@ -218,7 +208,7 @@ def _folded_basis(m, q, partition):
     p *= flip
     r[:, :k] *= flip[:k]
     r[:, k:] *= _sign_of_largest(r[:, k:])
-    return FoldedBasis(q, partition, lat, lbt, p, s, r)
+    return FoldedBasis(a, b, lat, lbt, p, s, r)
 
 
 def gft_forward(basis, x):

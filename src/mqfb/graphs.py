@@ -40,6 +40,8 @@ class PointCloud:
             att = att[:, None]
         if att.shape[0] != pos.shape[0]:
             raise ValueError("attributes length mismatch")
+        if not np.all(np.isfinite(att)):
+            raise ValueError("attributes contain NaN/Inf")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "attributes", att)
 

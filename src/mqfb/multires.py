@@ -59,7 +59,7 @@ class LevelRecord:
     adjacency: sp.csr_array  # graph actually filtered (post-bipartize for BFB)
     details: np.ndarray  # (|B|, c)
     # M_BB's elimination order from decompose's factor (None when M_BB is
-    # diagonal or the mode is dense): later contexts factor with no MMD pass
+    # diagonal): later contexts factor with no MMD pass
     order_b: np.ndarray | None = None
 
 
@@ -82,16 +82,19 @@ def _spec_from_meta(meta):
     return fb.zero_dc_wrap(spec) if meta.get("zero_dc") else spec
 
 
-def _level_context(ell, adjacency, partition, meta, order_b=None):
-    """Level ell's FilterContext; a failure to build it names the level."""
+def _level_context(ell, spec, adjacency, partition, meta, order_b=None):
+    """Level ell's FilterContext for ``spec``, a dense spec's basis built;
+    a failure to build it names the level."""
     try:
         g = gb.Graph(adjacency)
         if meta["operator"] == "norm":
             op = gb.normalized_operator(g, allow_isolated=meta["baseline"])
         else:
             op = gb.combinatorial_operator(g)
-        return fb.make_context(op, partition, mode=meta["mode"],
-                               order_b=order_b)
+        ctx = fb.make_context(op, partition, order_b=order_b)
+        if spec.mode == "dense":
+            ctx.basis  # built here, so the dense cap names the level
+        return ctx
     except ValueError as e:
         raise type(e)(f"level {ell}: {e}") from e
 
@@ -152,7 +155,7 @@ def decompose(pc, spec, k, levels, seed, operator=None, baseline=False):
             if (ell + 1 < levels and pos.shape[0] > k
                     and pos.shape[0] >= PIPELINE_MIN_POINTS):
                 graph = ahead.submit(_knn_graph, pos, k)
-            ctx = _level_context(ell, g.adjacency, p, meta)
+            ctx = _level_context(ell, spec, g.adjacency, p, meta)
             coeffs = fb.analyze(spec, ctx, x)
             records.append(LevelRecord(
                 partition=p, adjacency=g.adjacency,
@@ -179,7 +182,8 @@ def _synthesize_up(tree, drops):
     split = {}  # j -> its own stream, once its details have been zeroed
     for i in reversed(range(len(tree.levels))):
         lv = tree.levels[i]
-        ctx = _level_context(i, lv.adjacency, lv.partition, meta, lv.order_b)
+        ctx = _level_context(i, spec, lv.adjacency, lv.partition, meta,
+                             lv.order_b)
 
         def up(x, d):
             return fb.synthesize(spec, ctx, fb.ChannelCoefficients(a=x, d=d))
@@ -247,16 +251,14 @@ class ApproximationResult:
 
 
 def psnr(x, y, peak=255.0):
-    """Per-channel 10 log10(peak^2 / MSE), at most 999 dB (an exact match)."""
+    """Per-channel 10 log10(peak^2 / MSE): at most 999 dB, NaN for NaN."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.atleast_2d(np.asarray(y, dtype=np.float64))
     if x.shape != y.shape:
         raise ValueError("shape mismatch")
     mse = np.mean((x - y) ** 2, axis=0)
-    out = np.full(mse.shape, 999.0)
-    nz = mse > 0
-    out[nz] = np.minimum(10.0 * np.log10(peak**2 / mse[nz]), 999.0)
-    return out
+    with np.errstate(divide="ignore"):  # an exact match reads the 999 cap
+        return np.minimum(10.0 * np.log10(peak**2 / mse), 999.0)
 
 
 def linear_approximation(tree, keep, original, peak=255.0):
@@ -377,6 +379,12 @@ def _read_meta(path):
             raise CorruptTree(f"{fname}: no {key!r} key")
     if type(meta["n"]) is not int or meta["n"] < 0:
         raise CorruptTree(f"{fname}: 'n' is {meta['n']!r}, not a point count")
+    if meta["operator"] not in ("comb", "norm"):
+        raise CorruptTree(f"{fname}: 'operator' is {meta['operator']!r}, "
+                          f"not 'comb' or 'norm'")
+    if type(meta["baseline"]) is not bool:
+        raise CorruptTree(f"{fname}: 'baseline' is {meta['baseline']!r}, "
+                          f"not true or false")
     try:
         _spec_from_meta(meta)
     except (KeyError, TypeError, AttributeError, ValueError) as e:
@@ -431,6 +439,11 @@ def _level_from_arrays(fname, key, arrays, n, channels):
     except (ValueError, TypeError) as e:
         raise CorruptTree(f"{fname}: arrays '{key}indptr', '{key}indices' and "
                           f"'{key}weights' are not a CSR of {n} rows: {e}") from e
+    check(np.all((u.data > 0) & (u.data < np.inf)), "weights",
+          "not all finite and > 0")
+    rows = np.repeat(np.arange(n, dtype=indptr.dtype), np.diff(indptr))
+    check(np.all(u.indices > rows), "indices",
+          "an entry lies on or below the diagonal")
     check(packed.dtype == np.uint8 and packed.shape == ((n + 7) // 8,),
           "side_a", f"{packed.dtype}{list(packed.shape)} does not pack {n} "
           f"vertices")
@@ -458,7 +471,8 @@ def load_tree(path):
     A missing, truncated or corrupted file raises an OSError that names it
     (and the array, when one array is at fault); a directory written in
     another layout raises TreeFormatError.  The arrays must also fit: each
-    level's CSR, side mask and details, and sizes chained from meta's n.
+    level's CSR (a strict upper triangle of finite positive weights), side
+    mask and details, and sizes chained from meta's n.
     """
     meta = _read_meta(path)
     fname = os.path.join(path, ARRAYS_FILE)

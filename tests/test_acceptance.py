@@ -105,18 +105,18 @@ def test_criterion_3_perfect_reconstruction():
                                   seed=case + 900)
         m = gb.combinatorial_laplacian(g)
         p = gb.random_partition(n, case)
-        ctx = fb.make_context(m, p, mode="poly")
+        ctx = fb.make_context(m, p)
         x = rng.standard_normal(n)
         xr = fb.synthesize(lazy, ctx, fb.analyze(lazy, ctx, x))
         worst_lazy = max(worst_lazy, np.linalg.norm(xr - x) / np.linalg.norm(x))
-    ortho = fb.orthogonal_cosine_spec()
+    ortho = fb.orthogonal_cosine_spec(mode="dense")
     worst_ortho = 0.0
     for case in range(20):
         n = int(rng.integers(50, 501))
         g = random_connected_graph(n, p=0.1, seed=case + 1300)
         m = gb.combinatorial_laplacian(g)
         p = gb.random_partition(n, case + 31)
-        ctx = fb.make_context(m, p, mode="dense")
+        ctx = fb.make_context(m, p)
         x = rng.standard_normal(n)
         xr = fb.synthesize(ortho, ctx, fb.analyze(ortho, ctx, x))
         worst_ortho = max(worst_ortho, np.linalg.norm(xr - x) / np.linalg.norm(x))
@@ -130,7 +130,7 @@ def test_criterion_3_perfect_reconstruction():
 
 def test_criterion_4_parseval():
     rng = np.random.default_rng(4)
-    ortho = fb.orthogonal_cosine_spec()
+    ortho = fb.orthogonal_cosine_spec(mode="dense")
     worst = 0.0
     worst_adj = 0.0
     for case in range(10):
@@ -138,7 +138,7 @@ def test_criterion_4_parseval():
         g = random_connected_graph(n, p=0.12, seed=case + 1700)
         m = gb.combinatorial_laplacian(g)
         p = gb.random_partition(n, case + 77)
-        ctx = fb.make_context(m, p, mode="dense")
+        ctx = fb.make_context(m, p)
         rep = fb.check_q_orthogonality(ortho, ctx, trials=100, seed=case,
                                        tol=1e-8)
         worst = max(worst, rep["max_parseval_violation"])
@@ -170,7 +170,7 @@ def test_criterion_5_bipartite_specialization():
         qd = build_block_diag_q(lap, p)
         dd = np.abs(qd.toarray() - np.diag(g.degrees)).max()
         worst_q = max(worst_q, dd)
-        ctx = fb.make_context(lap, p, mode="poly")
+        ctx = fb.make_context(lap, p)
         c = fb.analyze(fb.lazy_spec(), ctx, np.ones(n))
         worst_dc = max(worst_dc, np.max(np.abs(c.d)))
     ok = worst_q <= 1e-12 and worst_fold <= 1e-8 and worst_dc <= 1e-10
@@ -190,8 +190,8 @@ def test_criterion_6_frame_bounds():
     g = random_connected_graph(150, p=0.1, seed=2500)
     m = gb.combinatorial_laplacian(g)
     p = gb.random_partition(150, 13)
-    ctx = fb.make_context(m, p, mode="dense")
-    lazy = fb.lazy_spec()
+    ctx = fb.make_context(m, p)
+    lazy = fb.lazy_spec(mode="dense")
     lo, hi = np.inf, -np.inf
     for _ in range(1000):
         x = rng.standard_normal(150)

@@ -127,6 +127,23 @@ def test_ply_row_with_the_wrong_value_count(tmp_path, capsys, row):
     assert not (tmp_path / "t").exists()
 
 
+def test_decompose_rejects_a_nan_attribute(tmp_path, capsys):
+    ply = tmp_path / "nan.ply"
+    rows = "".join(f"{i} {i * i} {i % 3} 1 {'nan' if i == 5 else 2} 3\n"
+                   for i in range(20))
+    ply.write_text("ply\nformat ascii 1.0\nelement vertex 20\n"
+                   + "".join(f"property double {c}\n" for c in "xyz")
+                   + "".join(f"property float {c}\n"
+                             for c in ("red", "green", "blue"))
+                   + f"end_header\n{rows}")
+    code = main(["decompose", "--input", str(ply), "--k", "4",
+                 "--levels", "1", "--out", str(tmp_path / "t")])
+    assert code == EXIT_CHECK_FAILED
+    assert ("invalid input: attributes contain NaN/Inf"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "t").exists()
+
+
 def test_decompose_names_the_failing_level(tmp_path, capsys, monkeypatch):
     make_context = fb.make_context
     calls = []
@@ -341,4 +358,21 @@ def test_reconstruct_incomplete_meta(saved_tree, tmp_path, capsys, key):
     code, err = _reconstruct(tree_dir, tmp_path, capsys)
     assert code == EXIT_IO
     assert str(meta_path) in err and repr(key) in err
+
+
+@pytest.mark.parametrize("key, value", [("operator", "foo"),
+                                        ("operator", None),
+                                        ("baseline", 1),
+                                        ("baseline", "true")])
+def test_reconstruct_rejects_a_bad_operator_or_baseline(
+        saved_tree, tmp_path, capsys, key, value):
+    # an unknown operator used to decode as "comb"
+    tree_dir = _copy_tree(saved_tree, tmp_path)
+    meta_path = tree_dir / "meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta[key] = value
+    meta_path.write_text(json.dumps(meta))
+    code, err = _reconstruct(tree_dir, tmp_path, capsys)
+    assert code == EXIT_IO
+    assert str(meta_path) in err and f"{key!r} is {value!r}" in err, err
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -44,11 +45,11 @@ from mqfb.synthetic import (
 )
 
 
-def comb_context(n, seed, mode="dense", **kw):
+def comb_context(n, seed, **kw):
     g = random_connected_graph(n, seed=seed)
     m = combinatorial_laplacian(g)
     p = random_partition(n, seed)
-    return make_context(m, p, mode=mode, **kw)
+    return make_context(m, p, **kw)
 
 
 def q_min_eigenvalue(m, p):
@@ -98,68 +99,72 @@ class TestOrthogonalCosineSpec:
         g = random_connected_graph(200, seed=24)
         m = combinatorial_laplacian(g)
         p = random_partition(200, 24)
-        poly, dense = make_context(m, p, mode="poly"), make_context(m, p, mode="dense")
+        ctx = make_context(m, p)  # one context serves both specs
+        poly, dense = orthogonal_cosine_spec(), orthogonal_cosine_spec(mode="dense")
         x = np.random.default_rng(24).standard_normal((200, 3))
-        cp = analyze(orthogonal_cosine_spec(), poly, x)
-        cd = analyze(orthogonal_cosine_spec(mode="dense"), dense, x)
+        cp = analyze(poly, ctx, x)
+        cd = analyze(dense, ctx, x)
         for got, want in ((cp.a, cd.a), (cp.d, cd.d)):
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-        xp = synthesize(orthogonal_cosine_spec(), poly, cd)
-        xd = synthesize(orthogonal_cosine_spec(mode="dense"), dense, cd)
+        xp = synthesize(poly, ctx, cd)
+        xd = synthesize(dense, ctx, cd)
         assert np.linalg.norm(xp - xd) <= 1e-12 * np.linalg.norm(xd)
 
 
 class TestAnalyzeSynthesize:
     def test_lazy_low_channel_is_subsample(self):
-        ctx = comb_context(30, 1, mode="poly")
+        ctx = comb_context(30, 1)
         x = np.random.default_rng(0).standard_normal(30)
         c = analyze(lazy_spec(), ctx, x)
         np.testing.assert_array_equal(c.a, x[ctx.partition.a_idx])
 
     def test_constant_signal_zero_detail(self):
-        ctx = comb_context(30, 2, mode="poly")
+        ctx = comb_context(30, 2)
         c = analyze(lazy_spec(), ctx, np.ones(30))
         assert np.max(np.abs(c.d)) < 1e-12
 
     def test_modes_agree_on_polynomial_spec(self):
+        # a poly spec and its dense twin on one context
         g = random_connected_graph(60, seed=3)
         m = combinatorial_laplacian(g)
         p = random_partition(60, 3)
-        dense = make_context(m, p, mode="dense")
-        poly = make_context(m, p, mode="poly")
+        ctx = make_context(m, p)
         x = np.random.default_rng(1).standard_normal(60)
-        cd = analyze(lazy_spec(), dense, x)
-        cp = analyze(lazy_spec(), poly, x)
-        np.testing.assert_allclose(cd.a, cp.a, atol=1e-8)
-        np.testing.assert_allclose(cd.d, cp.d, atol=1e-8)
+        cd = analyze(lazy_spec(mode="dense"), ctx, x)
+        cp = analyze(lazy_spec(), ctx, x)
+        np.testing.assert_allclose(cd.a, cp.a, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(cd.d, cp.d, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(synthesize(lazy_spec(mode="dense"), ctx, cp),
+                                   synthesize(lazy_spec(), ctx, cp),
+                                   rtol=0, atol=1e-9)
 
     def test_zero_coefficients_zero_signal(self):
-        ctx = comb_context(20, 4, mode="poly")
+        ctx = comb_context(20, 4)
         na = ctx.partition.a_idx.size
         c = ChannelCoefficients(a=np.zeros(na), d=np.zeros(20 - na))
         assert np.max(np.abs(synthesize(lazy_spec(), ctx, c))) == 0.0
 
     def test_lazy_roundtrip_sparse_path(self):
-        ctx = comb_context(500, 5, mode="poly")
+        ctx = comb_context(500, 5)
         x = np.random.default_rng(2).standard_normal(500)
         xr = synthesize(lazy_spec(), ctx, analyze(lazy_spec(), ctx, x))
         assert np.linalg.norm(xr - x) <= 1e-8 * np.linalg.norm(x)
 
     def test_ortho_roundtrip_dense_path(self):
-        ctx = comb_context(200, 6, mode="dense")
-        spec = orthogonal_cosine_spec()
+        ctx = comb_context(200, 6)
+        spec = orthogonal_cosine_spec(mode="dense")
         x = np.random.default_rng(3).standard_normal(200)
         xr = synthesize(spec, ctx, analyze(spec, ctx, x))
         assert np.linalg.norm(xr - x) <= 1e-8 * np.linalg.norm(x)
 
     def test_critical_sampling(self):
         for n, seed in [(30, 1), (75, 2), (120, 3)]:
-            ctx = comb_context(n, seed, mode="poly")
+            ctx = comb_context(n, seed)
             c = analyze(lazy_spec(), ctx, np.random.default_rng(seed).standard_normal(n))
             assert c.a.shape[0] + c.d.shape[0] == n
 
     def test_multichannel_signals(self):
-        ctx = comb_context(40, 7, mode="poly")
+        ctx = comb_context(40, 7)
         x = np.random.default_rng(4).standard_normal((40, 3))
         xr = synthesize(lazy_spec(), ctx, analyze(lazy_spec(), ctx, x))
         np.testing.assert_allclose(xr, x, atol=1e-10)
@@ -168,18 +173,18 @@ class TestAnalyzeSynthesize:
 class TestLifting:
     def test_matches_dense_lazy_bank(self):
         for n, seed in [(30, 1), (60, 3), (75, 2), (120, 3)]:
-            dense = comb_context(n, seed, mode="dense")
-            poly = comb_context(n, seed, mode="poly")
+            ctx = comb_context(n, seed)
             x = np.random.default_rng(seed).standard_normal((n, 2))
-            cd = analyze(lazy_spec(), dense, x)
-            cp = analyze(lazy_spec(), poly, x)
+            cp = analyze(lazy_spec(), ctx, x)
+            # the degree-1 recurrence is the lifting step: M_AA unfactored
+            assert "solver_a" not in vars(ctx)
+            cd = analyze(lazy_spec(mode="dense"), ctx, x)
             np.testing.assert_allclose(cp.a, cd.a, atol=1e-10)
             np.testing.assert_allclose(cp.d, cd.d, atol=1e-10)
-            np.testing.assert_allclose(synthesize(lazy_spec(), poly, cd),
-                                       synthesize(lazy_spec(), dense, cd),
+            np.testing.assert_allclose(synthesize(lazy_spec(), ctx, cd),
+                                       synthesize(lazy_spec(mode="dense"),
+                                                  ctx, cd),
                                        atol=1e-10)
-            # the degree-1 recurrence is the lifting step: M_AA unfactored
-            assert "solver_a" not in vars(poly)
 
     def test_lazy_kernels_factor_only_m_bb(self, monkeypatch):
         """The lazy bank and a custom spec with its kernels both take the
@@ -200,7 +205,7 @@ class TestLifting:
         outs = []
         for spec in (lazy, custom):
             built.clear()
-            ctx = comb_context(200, 23, mode="poly")
+            ctx = comb_context(200, 23)
             c = analyze(spec, ctx, x)
             outs.append((c.a, c.d, synthesize(spec, ctx, c)))
             nb = ctx.partition.b_idx.size
@@ -244,23 +249,24 @@ class TestLifting:
         g = random_connected_graph(120, seed=23)
         m = combinatorial_laplacian(g)
         p = random_partition(120, 23)
-        dense = make_context(m, p, mode="dense")
         monkeypatch.setattr(fbm, "build_block_diag_q", no_q)
         monkeypatch.setattr(spla, "splu", counting)
-        poly = make_context(m, p, mode="poly")
+        ctx = make_context(m, p)
         custom = FilterBankSpec(h0=Kernel(coeffs=(1.0, 0.5)),
                                 h1=Kernel(coeffs=(0.0, 1.0, -0.25)),
                                 g0=Kernel(coeffs=(2.0, -1.0)),
                                 g1=Kernel(coeffs=(1.0,)))
         x = np.random.default_rng(23).standard_normal((120, 2))
-        cp = analyze(custom, poly, x)
-        cd = analyze(custom, dense, x)
-        np.testing.assert_allclose(cp.a, cd.a, atol=1e-9)
-        np.testing.assert_allclose(cp.d, cd.d, atol=1e-9)
-        np.testing.assert_allclose(synthesize(custom, poly, cp),
-                                   synthesize(custom, dense, cp), atol=1e-9)
+        cp = analyze(custom, ctx, x)
         na, nb = p.a_idx.size, p.b_idx.size
         assert sorted(shapes) == sorted([(nb, nb), (na, na)])
+        dense = replace(custom, mode="dense")  # its twin on the same context
+        cd = analyze(dense, ctx, x)
+        np.testing.assert_allclose(cp.a, cd.a, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(cp.d, cd.d, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(synthesize(custom, ctx, cp),
+                                   synthesize(dense, ctx, cp),
+                                   rtol=0, atol=1e-9)
 
     def test_component_wholly_on_a_rejected(self):
         # two disjoint connected graphs; the second lies entirely on side A
@@ -273,11 +279,11 @@ class TestLifting:
         p = Partition(f)
         assert q_min_eigenvalue(m, p) < 1e-10
         with pytest.raises(NotPositiveDefinite):
-            make_context(m, p, mode="poly")
+            make_context(m, p)
         with pytest.raises(NotPositiveDefinite):
-            make_context(m, Partition(-f), mode="poly")
+            make_context(m, Partition(-f))
         f[20] = -1  # one vertex of the second graph on B makes Q > 0
-        make_context(m, Partition(f), mode="poly")
+        make_context(m, Partition(f))
 
     def test_acceptance_matches_q_definiteness(self):
         # many small components: random partitions often strand one
@@ -291,7 +297,7 @@ class TestLifting:
             p = random_partition(n, seed)
             pd = q_min_eigenvalue(m, p) > 1e-10
             try:
-                make_context(m, p, mode="poly")
+                make_context(m, p)
                 accepted = True
             except NotPositiveDefinite:
                 accepted = False
@@ -314,7 +320,7 @@ class TestLifting:
             p = random_partition(g.n, seed)
             pd = q_min_eigenvalue(m, p) > 1e-10
             try:
-                ctx = make_context(op, p, mode="poly")
+                ctx = make_context(op, p)
                 accepted = True
             except NotPositiveDefinite:
                 accepted = False
@@ -354,7 +360,7 @@ def test_blocks_from_the_graph_equal_laplacian_slices(graph_20k, name,
         return real(matrix, ordered=ordered)
 
     monkeypatch.setattr(fb, "SpdSolver", recording)
-    ctx = make_context(op, p, mode="poly")
+    ctx = make_context(op, p)
     ctx.solver_a
     a, b = p.a_idx, p.b_idx
     want = [sp.csr_array(lap[b][:, a]), sp.csc_array(lap[b][:, b]),
@@ -371,10 +377,12 @@ def test_blocks_from_the_graph_equal_laplacian_slices(graph_20k, name,
                                        normalized_laplacian])
 def test_a_plain_matrix_context_holds_the_input(mode, laplacian):
     """A plain matrix is split into an Operator, whose assembly ``ctx.m``
-    and block-diagonal ``ctx.q`` have the input's values."""
+    and block-diagonal ``ctx.q`` have the input's values, also after a
+    filter in either mode has run on the context."""
     g = random_connected_graph(40, seed=3)
     m, p = laplacian(g), random_partition(40, 3)
-    ctx = make_context(m, p, mode=mode)
+    ctx = make_context(m, p)
+    analyze(lazy_spec(mode), ctx, np.ones(40))
     assert isinstance(ctx.operator, Operator)
     np.testing.assert_array_equal(ctx.m.toarray(), m.toarray())
     np.testing.assert_array_equal(ctx.q.toarray(),
@@ -389,9 +397,9 @@ def test_an_elimination_order_cuts_m_bb_in_that_order(graph_20k, spec):
     analyze and synthesize keep the details in b_idx order."""
     g, p = graph_20k
     op, lap = combinatorial_operator(g), combinatorial_laplacian(g)
-    first = make_context(op, p, mode="poly")
+    first = make_context(op, p)
     order = first.solver_b.order
-    ctx = make_context(op, p, mode="poly", order_b=order)
+    ctx = make_context(op, p, order_b=order)
     b, a = p.b_idx[order], p.a_idx
     np.testing.assert_array_equal(ctx.b_rows, b)
     assert abs(ctx.m_ba - sp.csr_array(lap[b][:, a])).max() == 0
@@ -411,8 +419,8 @@ def test_an_elimination_order_cuts_m_bb_in_that_order(graph_20k, spec):
 
 class TestCheckPr:
     def test_lazy_passes(self):
-        ctx = comb_context(50, 8, mode="dense")
-        rep = check_pr(lazy_spec(), ctx)
+        ctx = comb_context(50, 8)
+        rep = check_pr(lazy_spec(mode="dense"), ctx)
         assert rep["passed"]
         assert rep["max_identity_violation"] <= 1e-12
         assert rep["spectrum"] == "computed"
@@ -422,14 +430,14 @@ class TestCheckPr:
             raise AssertionError("check_pr built an eigendecomposition")
 
         monkeypatch.setattr(fb, "mq_eigendecompose", no_eigh)
-        ctx = comb_context(60, 8, mode="poly")
+        ctx = comb_context(60, 8)
         for spec in (lazy_spec(), orthogonal_cosine_spec()):
             rep = check_pr(spec, ctx, trials=2)
             assert rep["spectrum"] == "grid"
             assert rep["passed"], rep
 
     def test_grid_reported_past_dense_cap(self):
-        ctx = comb_context(2100, 22, mode="poly")
+        ctx = comb_context(2100, 22)
         rep = check_pr(lazy_spec(), ctx, trials=2)
         assert rep["spectrum"] == "grid"
         assert rep["passed"]
@@ -440,16 +448,17 @@ class TestCheckPr:
             h1=Kernel(coeffs=(0.0, 1.0)),
             g0=Kernel(coeffs=(2.1, -1.0)),  # 2 - lam + 0.1
             g1=Kernel(coeffs=(1.0,)),
+            mode="dense",
         )
-        ctx = comb_context(50, 9, mode="dense")
+        ctx = comb_context(50, 9)
         rep = check_pr(broken, ctx)
         assert not rep["passed"]
         assert rep["max_identity_violation"] == pytest.approx(0.1, rel=1e-6)
 
     def test_ortho_passes_many_graphs(self):
-        spec = orthogonal_cosine_spec()
+        spec = orthogonal_cosine_spec(mode="dense")
         for seed in range(20):
-            ctx = comb_context(40, seed + 50, mode="dense")
+            ctx = comb_context(40, seed + 50)
             rep = check_pr(spec, ctx, trials=3)
             assert rep["passed"], rep
 
@@ -461,8 +470,8 @@ class TestCheckPr:
                 k: Kernel(coeffs=tuple(rng.uniform(-1, 1, 2)))
                 for k in ("h0", "h1", "g0", "g1")
             }
-            spec = FilterBankSpec(**coeffs)
-            ctx = comb_context(60, seed + 200, mode="dense")
+            spec = FilterBankSpec(**coeffs, mode="dense")
+            ctx = comb_context(60, seed + 200)
             rep = check_pr(spec, ctx, trials=5)
             analytic_ok = (rep["max_identity_violation"] <= 1e-8
                            and rep["max_alias_violation"] <= 1e-8)
@@ -473,40 +482,41 @@ class TestCheckPr:
 class TestQOrthogonality:
     def test_ortho_on_bipartite_identity_q(self):
         g, p = random_bipartite_graph(40, seed=5)
-        ctx = make_context(normalized_laplacian(g), p, mode="dense")
+        ctx = make_context(normalized_laplacian(g), p)
         np.testing.assert_allclose(ctx.q.toarray(), np.eye(40), atol=1e-12)
-        rep = check_q_orthogonality(orthogonal_cosine_spec(), ctx)
+        rep = check_q_orthogonality(orthogonal_cosine_spec(mode="dense"), ctx)
         assert rep["passed"]
 
     def test_ortho_on_arbitrary_graph(self):
-        ctx = comb_context(60, 12, mode="dense")
-        rep = check_q_orthogonality(orthogonal_cosine_spec(), ctx)
+        ctx = comb_context(60, 12)
+        rep = check_q_orthogonality(orthogonal_cosine_spec(mode="dense"), ctx)
         assert rep["passed"]
 
     def test_lazy_fails_within_frame_bounds(self):
-        ctx = comb_context(60, 13, mode="dense")
-        rep = check_q_orthogonality(lazy_spec(), ctx)
+        ctx = comb_context(60, 13)
+        lazy = lazy_spec(mode="dense")
+        rep = check_q_orthogonality(lazy, ctx)
         assert not rep["passed"]
-        alpha, beta = frame_bounds(lazy_spec())
+        alpha, beta = frame_bounds(lazy)
         # norm ratios stay inside the frame-bound interval
         rng = np.random.default_rng(0)
         for _ in range(50):
             x = rng.standard_normal(60)
-            c = analyze(lazy_spec(), ctx, x)
+            c = analyze(lazy, ctx, x)
             from mqfb.filterbank import coeff_q_inner, q_inner
 
             ratio = np.sqrt(coeff_q_inner(ctx, c, c) / q_inner(ctx.q, x, x))
             assert alpha - 1e-6 <= ratio <= beta + 1e-6
 
     def test_q_inner_rejects_a_mismatched_length(self):
-        ctx = comb_context(20, 12, mode="poly")
+        ctx = comb_context(20, 12)
         with pytest.raises(ValueError):
             fb.q_inner(ctx.q, np.ones(21), np.ones(20))
 
     def test_orthogonal_implies_pr(self):
-        spec = orthogonal_cosine_spec()
+        spec = orthogonal_cosine_spec(mode="dense")
         for seed in range(5):
-            ctx = comb_context(50, seed + 300, mode="dense")
+            ctx = comb_context(50, seed + 300)
             if check_q_orthogonality(spec, ctx)["passed"]:
                 assert check_pr(spec, ctx, trials=3)["passed"]
 
@@ -538,7 +548,7 @@ class TestZeroDc:
         # plain lazy bank already kills constants in the high-pass channel
         g, p = random_bipartite_graph(40, seed=6)
         lap = combinatorial_laplacian(g)
-        ctx = make_context(lap, p, mode="poly")
+        ctx = make_context(lap, p)
         c = analyze(lazy_spec(), ctx, np.ones(40))
         assert np.max(np.abs(c.d)) <= 1e-10
 
@@ -546,12 +556,12 @@ class TestZeroDc:
         # the degrees come from the operator, so the bank is given
         # normalized_operator(g), not the assembled Laplacian
         g, p = random_bipartite_graph(40, seed=16)
-        ctx = make_context(normalized_operator(g), p, mode="poly")
+        ctx = make_context(normalized_operator(g), p)
         c = analyze(zero_dc_wrap(lazy_spec()), ctx, np.ones(40))
         assert np.max(np.abs(c.d)) <= 1e-10
 
     def test_wrapped_roundtrip(self):
-        ctx = comb_context(80, 14, mode="poly")
+        ctx = comb_context(80, 14)
         spec = zero_dc_wrap(lazy_spec())
         x = np.random.default_rng(5).standard_normal(80)
         xr = synthesize(spec, ctx, analyze(spec, ctx, x))
@@ -570,7 +580,7 @@ class TestZeroDc:
     def test_bipartite_fundamental_is_random_walk(self):
         g, p = random_bipartite_graph(30, seed=7)
         lap = combinatorial_laplacian(g)
-        ctx = make_context(lap, p, mode="poly")
+        ctx = make_context(lap, p)
         x = np.random.default_rng(6).standard_normal(30)
         zx = self.z_times(ctx, x)
         np.testing.assert_allclose(zx, (lap @ x) / g.degrees, atol=1e-10)
@@ -579,7 +589,7 @@ class TestZeroDc:
         # D^{-1/2} (normalized Laplacian) D^{1/2} == D^{-1} L
         g, p = random_bipartite_graph(30, seed=17)
         d = g.degrees
-        ctx = make_context(normalized_laplacian(g), p, mode="poly")
+        ctx = make_context(normalized_laplacian(g), p)
         lap = combinatorial_laplacian(g)
         x = np.random.default_rng(7).standard_normal(30)
         wrapped = self.z_times(ctx, np.sqrt(d) * x) / np.sqrt(d)
@@ -588,9 +598,9 @@ class TestZeroDc:
     @pytest.mark.parametrize("mode", ["poly", "dense"])
     def test_low_pass_in_signal_domain(self, mode):
         # the lazy low-pass is the identity on A, and a comes back unscaled
-        ctx = comb_context(60, 18, mode=mode)
+        ctx = comb_context(60, 18)
         x = np.random.default_rng(8).standard_normal((60, 3))
-        a = analyze(zero_dc_wrap(lazy_spec()), ctx, x).a
+        a = analyze(zero_dc_wrap(lazy_spec(mode)), ctx, x).a
         want = x[ctx.partition.a_idx]
         assert np.linalg.norm(a - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -603,7 +613,7 @@ class TestZeroDc:
         d[3] = -1.0
         block = "M_AA" if p.f[3] == 1 else "M_BB"
         with pytest.raises(NotPositiveDefinite, match=block):
-            make_context(Operator(d, g.adjacency), p, mode="poly")
+            make_context(Operator(d, g.adjacency), p)
 
 
 class TestSpecSerialization:
@@ -671,16 +681,6 @@ class TestSpecSerialization:
         lazy = lazy_spec()
         for name in ("h0", "h1", "g0", "g1"):
             assert spec.kernels()[name] == lazy.kernels()[name]
-
-    @pytest.mark.parametrize("call", ["analyze", "synthesize"])
-    def test_named_kernels_on_a_poly_context_raise(self, call):
-        ctx = comb_context(30, 2, mode="poly")
-        spec = orthogonal_cosine_spec(mode="dense")
-        c = ChannelCoefficients(a=np.ones(ctx.partition.a_idx.size),
-                                d=np.ones(ctx.partition.b_idx.size))
-        arg = np.ones(30) if call == "analyze" else c
-        with pytest.raises(NotPolynomial, match="'cos_quarter'"):
-            getattr(fb, call)(spec, ctx, arg)
 
     def test_poly_mode_requires_polynomials(self):
         with pytest.raises(NotPolynomial):

@@ -7,8 +7,10 @@ from mqfb.gft import (
     DENSE_CAP_DEFAULT,
     DenseCapExceeded,
     FundamentalOperator,
+    GftBasis,
     WrongInnerProduct,
     dense_spectral_filter,
+    folded_basis,
     gft_forward,
     gft_inverse,
     mq_eigendecompose,
@@ -16,7 +18,7 @@ from mqfb.gft import (
     spectrum_properties,
     verify_spectral_folding,
 )
-from mqfb.filterbank import Kernel
+from mqfb.filterbank import Kernel, make_context
 from mqfb.graphs import (
     Graph,
     Partition,
@@ -84,8 +86,9 @@ def sided_partition(n, n_a, seed):
 
 
 def assert_folded_matches_generic(m, p, seed):
-    q = build_block_diag_q(m, p)
-    folded = mq_eigendecompose(m, q, partition=p)
+    ctx = make_context(m, p)
+    q = ctx.q
+    folded = ctx.basis
     generic = mq_eigendecompose(m, q)
     np.testing.assert_allclose(folded.lam, generic.lam, rtol=0, atol=1e-10)
     assert np.all(np.diff(folded.lam) >= 0)
@@ -111,7 +114,7 @@ def assert_folded_matches_generic(m, p, seed):
 
 
 class TestFoldedBasis:
-    """mq_eigendecompose(..., partition=p) against the generic eigensolver."""
+    """A context's folded basis against the generic eigensolver."""
 
     @pytest.mark.parametrize("share", [0.7, 0.3, 0.5])
     def test_battery_both_laplacians(self, share):
@@ -139,8 +142,8 @@ class TestFoldedBasis:
         g = random_connected_graph(90, seed=5)
         m = combinatorial_laplacian(g)
         p = random_partition(90, 5)
-        q = build_block_diag_q(m, p)
-        b = mq_eigendecompose(m, q, partition=p)
+        ctx = make_context(m, p)
+        b = GftBasis(u=ctx.basis.u, lam=ctx.basis.lam, q=ctx.q)
         assert verify_spectral_folding(b, p, tol=1e-8, m=m)["passed"]
 
     def test_component_wholly_on_one_side_rejected(self):
@@ -152,18 +155,11 @@ class TestFoldedBasis:
         f = np.where(np.arange(32) % 2 == 0, 1, -1)
         f[20:] = 1
         for p in (Partition(f), Partition(-f)):
+            a, b = p.a_idx, p.b_idx
             with pytest.raises(NotPositiveDefinite):
-                mq_eigendecompose(m, build_block_diag_q(m, p), partition=p)
+                folded_basis(a, b, m[a][:, a], m[b][:, a], m[b][:, b])
         f[20] = -1
         assert_folded_matches_generic(m, Partition(f), 0)
-
-    def test_wrong_q_rejected(self):
-        g = random_connected_graph(30, seed=6)
-        m = combinatorial_laplacian(g)
-        p = random_partition(30, 6)
-        for q in (sp.csr_array(sp.eye(30)), m, 2.0 * build_block_diag_q(m, p)):
-            with pytest.raises(WrongInnerProduct):
-                mq_eigendecompose(m, q, partition=p)
 
 
 class TestSpectralFolding:

@@ -33,6 +33,13 @@ class TestPointCloud:
         with pytest.raises(ValueError):
             PointCloud(pos, np.zeros((3, 1)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite_attributes(self, bad):
+        att = np.zeros((3, 2))
+        att[2, 1] = bad
+        with pytest.raises(ValueError, match="attributes contain NaN/Inf"):
+            PointCloud(np.eye(3), att)
+
     def test_rejects_single_point(self):
         with pytest.raises(ValueError):
             PointCloud(np.zeros((1, 3)), np.zeros((1, 1)))

@@ -9,7 +9,7 @@ import scipy.sparse.linalg as spla
 from mqfb import filterbank as fb
 from mqfb import graphs as gb
 from mqfb import multires
-from mqfb.gft import FoldedBasis
+from mqfb.gft import DENSE_CAP_DEFAULT, DenseCapExceeded, FoldedBasis
 from mqfb.multires import (
     CorruptTree,
     DecompositionTree,
@@ -146,8 +146,7 @@ class TestReconstruct:
         # the level-0 context decompose filtered with is Q-orthogonal
         lv = tree.levels[0]
         g = gb.Graph(lv.adjacency)
-        ctx = fb.make_context(gb.combinatorial_laplacian(g), lv.partition,
-                              mode="dense")
+        ctx = fb.make_context(gb.combinatorial_laplacian(g), lv.partition)
         rep = fb.check_q_orthogonality(spec, ctx, trials=3)
         assert rep["passed"], rep
 
@@ -170,7 +169,7 @@ class TestReconstruct:
     def test_per_level_energy_bookkeeping_orthogonal(self):
         # each analysis step preserves the Q-norm under that level's Q
         pc = small_cloud(250)
-        spec = fb.orthogonal_cosine_spec()
+        spec = fb.orthogonal_cosine_spec(mode="dense")
         pos = pc.positions
         x = pc.attributes
         seeds = np.random.SeedSequence(11).spawn(3)
@@ -179,7 +178,7 @@ class TestReconstruct:
             g = gb.knn_graph(gb.PointCloud(pos, np.empty((n, 0))), 4)
             p = gb.random_partition(n, seeds[ell])
             m = gb.combinatorial_laplacian(g)
-            ctx = fb.make_context(m, p, mode="dense")
+            ctx = fb.make_context(m, p)
             c = fb.analyze(spec, ctx, x)
             for ch in range(x.shape[1]):
                 ein = x[:, ch] @ (ctx.q @ x[:, ch])
@@ -187,6 +186,39 @@ class TestReconstruct:
                 eout = fb.coeff_q_inner(ctx, cc, cc)
                 assert abs(ein - eout) <= 1e-6 * max(ein, 1.0)
             pos, x = pos[p.a_idx], c.a
+
+
+class TestDenseFromTheBlocks:
+    """A dense spec filters through the basis each context folds from the
+    same M_AA, M_BA and M_BB the poly path cuts from W."""
+
+    def test_no_filter_assembles_the_full_m_or_q(self, monkeypatch):
+        def no_assembly(*args, **kwargs):
+            raise AssertionError("the n x n M or Q was assembled")
+
+        monkeypatch.setattr(gb.Operator, "matrix", no_assembly)
+        monkeypatch.setattr(fb, "build_block_diag_q", no_assembly)
+        pc = small_cloud(300)
+        spec = fb.orthogonal_cosine_spec(mode="dense")
+        tree = decompose(pc, spec, k=4, levels=3, seed=8)
+        rec = reconstruct(tree)
+        rel = np.linalg.norm(rec - pc.attributes) / np.linalg.norm(pc.attributes)
+        assert rel <= 1e-8
+        for j in range(len(tree.levels) + 1):
+            res = linear_approximation(tree, 2.0**-j, pc.attributes)
+            np.testing.assert_array_equal(res.attributes,
+                                          reconstruct(tree, drop_finest=j))
+        lv = tree.levels[0]
+        op = gb.combinatorial_operator(gb.Graph(lv.adjacency))
+        rep = fb.check_pr(spec, fb.make_context(op, lv.partition), trials=3)
+        assert rep["passed"] and rep["spectrum"] == "computed", rep
+
+    def test_past_the_dense_cap_names_the_level(self):
+        pc = gaussian_blob_cloud(DENSE_CAP_DEFAULT + 100, seed=0)
+        with pytest.raises(DenseCapExceeded,
+                           match=f"level 0: n={pc.n} exceeds dense cap"):
+            decompose(pc, fb.orthogonal_cosine_spec(mode="dense"), k=5,
+                      levels=2, seed=0)
 
 
 class TestLinearApproximation:
@@ -350,6 +382,15 @@ class TestPsnr:
         with pytest.raises(ValueError):
             psnr(np.zeros((3, 1)), np.zeros((4, 1)))
 
+    def test_a_nan_channel_reads_nan_not_the_cap(self):
+        x = np.zeros((500, 3))
+        y = x.copy()
+        y[7, 1] = np.nan
+        y[:, 2] += 1.0
+        got = psnr(x, y)
+        assert got[0] == 999.0 and np.isnan(got[1])
+        assert got[2] == pytest.approx(10 * np.log10(255**2))
+
 
 class TestTreeSerialization:
     def test_roundtrip_bit_exact(self, tmp_path):
@@ -375,16 +416,16 @@ class TestTreeSerialization:
         loaded = load_tree(tmp_path / "tree")
         assert loaded.meta["mode"] == "dense"
         assert json.loads(loaded.meta["spec"])["mode"] == "dense"
-        modes = []
-        make_context = fb.make_context
+        built = []
+        folded_basis = fb.folded_basis
 
-        def recording(m, partition, mode="poly", **kw):
-            modes.append(mode)
-            return make_context(m, partition, mode=mode, **kw)
+        def recording(a, b, *blocks):
+            built.append(a.size + b.size)
+            return folded_basis(a, b, *blocks)
 
-        monkeypatch.setattr(fb, "make_context", recording)
+        monkeypatch.setattr(fb, "folded_basis", recording)
         np.testing.assert_array_equal(reconstruct(loaded), want)
-        assert modes == ["dense", "dense"]
+        assert built == [lv.partition.n for lv in loaded.levels[::-1]]
 
     def test_zero_dc_tree_in_the_older_meta_layout_loads(self, tmp_path):
         """A zero-DC tree whose meta.json holds the base spec and a
@@ -493,11 +534,13 @@ class TestEliminationOrders:
 
     def test_no_order_where_m_bb_is_diagonal(self):
         pc = small_cloud()
-        for spec, kwargs in [(fb.lazy_spec(), dict(k=10, baseline=True)),
-                             (fb.orthogonal_cosine_spec(mode="dense"),
-                              dict(k=4))]:
-            tree = decompose(pc, spec, levels=2, seed=5, **kwargs)
-            assert all(lv.order_b is None for lv in tree.levels)
+        tree = decompose(pc, fb.lazy_spec(), k=10, levels=2, seed=5,
+                         baseline=True)
+        assert all(lv.order_b is None for lv in tree.levels)
+        # every context factors M_BB, so a dense tree records orders too
+        tree = decompose(pc, fb.orthogonal_cosine_spec(mode="dense"), k=4,
+                         levels=2, seed=5)
+        assert all(lv.order_b is not None for lv in tree.levels)
 
     def test_tree_without_orders_decodes_through_mmd(self, tmp_path,
                                                       monkeypatch):
@@ -612,6 +655,40 @@ def _missing_member(a):
     return "level_01/side_a"
 
 
+def _nan_weight(a):
+    a["level_00/weights"][3] = np.nan
+    return "level_00/weights"
+
+
+def _inf_weight(a):
+    a["level_01/weights"][0] = np.inf
+    return "level_01/weights"
+
+
+def _zero_weight(a):
+    a["level_00/weights"][-1] = 0.0
+    return "level_00/weights"
+
+
+def _negated_weights(a):
+    a["level_02/weights"] = -a["level_02/weights"]
+    return "level_02/weights"
+
+
+def _diagonal_entry(a):
+    indptr = a["level_00/indptr"]
+    row = np.flatnonzero(np.diff(indptr))[0]
+    a["level_00/indices"][indptr[row]] = row
+    return "level_00/indices"
+
+
+def _entry_below_the_diagonal(a):
+    indptr = a["level_01/indptr"]
+    row = np.flatnonzero(np.diff(indptr))[-1]
+    a["level_01/indices"][indptr[row]] = row - 1
+    return "level_01/indices"
+
+
 class TestLoadChecksTheArraysFit:
     """Arrays that pass their crc32 (rewritten with a matching spec in
     meta.json) but do not fit together make `mqfb reconstruct` exit 3 with
@@ -619,7 +696,9 @@ class TestLoadChecksTheArraysFit:
 
     @pytest.mark.parametrize("corrupt", [
         _index_past_n, _decreasing_indptr, _short_side_a, _short_details,
-        _extra_channel, _long_level, _short_root, _missing_member])
+        _extra_channel, _long_level, _short_root, _missing_member,
+        _nan_weight, _inf_weight, _zero_weight, _negated_weights,
+        _diagonal_entry, _entry_below_the_diagonal])
     def test_reconstruct_exits_3_naming_the_array(self, tmp_path, capsys,
                                                   corrupt):
         from mqfb.cli import EXIT_IO, main
@@ -635,6 +714,18 @@ class TestLoadChecksTheArraysFit:
         assert code == EXIT_IO
         err = capsys.readouterr().err
         assert "tree.npz: array" in err and f"{name!r}" in err, err
+
+    @pytest.mark.parametrize("weight", [-1.0, 0.0])
+    def test_bipartite_tree_weights_are_checked(self, tmp_path, weight):
+        # the bipartite arm's M_BB is diagonal, so such weights decoded
+        tree = decompose(small_cloud(), fb.lazy_spec(), k=10, levels=2,
+                         seed=9, baseline=True)
+        save_tree(tree, tmp_path)
+        with np.load(tmp_path / "tree.npz") as z:
+            w = z["level_00/weights"] * weight
+        _rewrite_array(tmp_path, "level_00/weights", w)
+        with pytest.raises(CorruptTree, match="'level_00/weights'"):
+            load_tree(tmp_path)
 
     @pytest.mark.parametrize("n", ["400", -1, 401])
     def test_a_point_count_that_does_not_fit_is_rejected(self, tmp_path, n):

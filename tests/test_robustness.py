@@ -166,7 +166,7 @@ def test_folding_past_the_dense_cap(level_20k):
     The pairs come from a matrix-free eigsh that solves with Q by blocks.
     """
     m, partition = level_20k
-    ctx = fb.make_context(m, partition, mode="poly")
+    ctx = fb.make_context(m, partition)
     a, b = partition.a_idx, partition.b_idx
 
     def q_solve(y):
@@ -192,7 +192,7 @@ def test_q_parseval_past_the_dense_cap(level_20k):
     """The poly orthogonal bank is Q-orthogonal and PR on a 20k level."""
     m, partition = level_20k
     assert m.shape[0] > DENSE_CAP_DEFAULT
-    ctx = fb.make_context(m, partition, mode="poly")
+    ctx = fb.make_context(m, partition)
     spec = fb.orthogonal_cosine_spec()
     rep = fb.check_q_orthogonality(spec, ctx)
     assert rep["passed"], rep
