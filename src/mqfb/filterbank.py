@@ -214,41 +214,67 @@ class FilterContext:
     """Everything needed to apply spectral filters for one (M, partition),
     in either mode: the spec that filters picks the path.
 
-    ``operator`` is ``m``, a graphs.Operator, or a plain symmetric ``m``
-    split into one; the assembled M (``ctx.m``) and the block-diagonal Q
-    (``ctx.q``) are built from it on first use, for the checkers only.
+    ``m`` is a graphs.Operator, or a plain symmetric matrix split into one
+    (``ctx.operator``); the assembled M (``ctx.m``) and the block-diagonal
+    Q (``ctx.q``) are built from it on first use, for the checkers only.
+    Building a context raises NotPositiveDefinite, naming the block (M_AA
+    or M_BB), when Q is not positive definite.  It slices W's B rows once
+    into W_BA and W_BB: M_BA (``m_ba``) is W_BA negated or scaled, and M_BB
+    goes to SpdSolver as its own CSC (``solver_b``).  The A block is
+    decided with no factor, by Taussky's test on diag(c_A) - W_AA (see
+    Operator: c is the degrees for both Laplacians); only a plain matrix
+    that is not Laplacian-like has M_AA factored here.
 
-    Poly filters read ``m_ba`` (M_BA) and ``solver_b`` (the factor of
-    M_BB), which make_context builds, and ``solver_a``, the factor of M_AA
-    that filters of degree 2 and up (or with a degree-1 A-side term) need,
-    built on first use from W_AA.  They solve with Q by blocks, so they use
-    the block-diagonal Q of M even when a different ``q`` was passed in.
-    Dense filters read ``basis`` (``lam``, ``forward``, ``inverse``): a
-    gft.FoldedBasis built on first use from the same M_AA, M_BA and M_BB,
-    B in ``b_rows`` order (sparse Cholesky factors of M_AA and M_BB and
-    the dense SVD factors of the folded pencil, about n^2 / 2 floats, with
-    no n x n eigenvector matrix), or an explicit GftBasis passed in.  It
-    is the reference path and stops at the dense cap.
-    ``b_rows`` are the B vertices in the order of M_BB's rows: ``b_idx``,
-    or ``b_idx[order_b]`` for an elimination order ``order_b`` of M_BB, so
-    M_BA, M_BB and every B-side vector of the poly recurrence are in that
-    order and the factor needs no ordering pass of its own.  Coefficients
-    stay in ``b_idx`` order: analyze and synthesize gather and scatter B
-    through ``b_rows``.
+    Poly filters read ``m_ba`` and ``solver_b``, and ``solver_a``, the
+    factor of M_AA that filters of degree 2 and up (or with a degree-1
+    A-side term) need, built on first use from W_AA.  They solve with Q by
+    blocks, so they use the block-diagonal Q of M even when a different
+    ``q`` was passed in.  Dense filters read ``basis`` (``lam``,
+    ``forward``, ``inverse``): a gft.FoldedBasis built on first use from
+    the same M_AA, M_BA and M_BB, B in ``b_rows`` order (sparse Cholesky
+    factors of M_AA and M_BB and the dense SVD factors of the folded
+    pencil, about n^2 / 2 floats, with no n x n eigenvector matrix), or an
+    explicit GftBasis passed in.  It is the reference path and stops at
+    the dense cap.
+
+    ``order_b`` is an elimination order of M_BB, such as an earlier
+    context's ``solver_b.order``; one that is not a permutation of the B
+    side raises ValueError.  ``b_rows`` are the B vertices in the order of
+    M_BB's rows: ``b_idx``, or ``b_idx[order_b]``, so M_BA, M_BB and every
+    B-side vector of the poly recurrence are in that order and the factor
+    needs no ordering pass of its own.  Coefficients stay in ``b_idx``
+    order: analyze and synthesize gather and scatter B through ``b_rows``.
     """
 
     def __init__(self, m, partition, q=None, basis=None, order_b=None):
-        self.operator = m if isinstance(m, Operator) else Operator.of_matrix(m)
+        b = partition.b_idx
+        if order_b is not None:
+            check_order(order_b, b.size)
+        self.operator = op = (m if isinstance(m, Operator)
+                              else Operator.of_matrix(m))
         self.partition = partition
         self.n = partition.n
         self.order_b = order_b
-        b = partition.b_idx
-        self.b_rows = b if order_b is None else b[order_b]
-        self.m_ba = self.solver_b = None
+        self.b_rows = b = b if order_b is None else b[order_b]
         if q is not None:
             self.q = q
         if basis is not None:
             self.basis = basis
+        a = partition.a_idx
+        w_b = op.adjacency[b]
+        w_ba, w_bb = w_b[:, a], w_b[:, b]
+        if op.adjacency.nnz == 2 * w_ba.nnz + w_bb.nnz:  # no edge within A
+            self._w_aa = sp.csr_array((a.size, a.size))
+        if not _named("M_AA", check_positive_definite,
+                      op.congruent_diag[a], self._w_aa):
+            self.solver_a  # the structure does not decide; the factor does
+        w_ba.data = op.off(w_ba, b, a)
+        self.m_ba = w_ba
+        # cut in an elimination order, each row's columns come out of order;
+        # sorted here, M_BB reaches SuperLU in canonical form
+        w_bb.sort_indices()
+        self.solver_b = _named("M_BB", SpdSolver, op.principal_block(w_bb, b),
+                               ordered=order_b is not None)
 
     @functools.cached_property
     def m(self):
@@ -295,39 +321,8 @@ def check_order(order_b, nb):
 
 
 def make_context(m, partition, order_b=None):
-    """Build a FilterContext for Q = block-diagonal of M under the partition.
-
-    Raises NotPositiveDefinite, naming the block (M_AA or M_BB), when Q is
-    not positive definite.  Slices W's B rows once into W_BA and W_BB: M_BA
-    is W_BA negated or scaled, and M_BB goes to SpdSolver as its own CSC.
-    The A block is decided with no factor, by Taussky's test on
-    diag(c_A) - W_AA (see Operator: c is the degrees for both Laplacians);
-    only a plain matrix that is not Laplacian-like has M_AA factored.  A
-    dense filter's basis is built from these blocks on first use.
-
-    ``order_b`` is an elimination order of M_BB, such as an earlier
-    context's ``solver_b.order`` (see FilterContext); one that is not a
-    permutation of the B side raises ValueError.
-    """
-    if order_b is not None:
-        check_order(order_b, partition.b_idx.size)
-    ctx = FilterContext(m, partition, order_b=order_b)
-    op, a, b = ctx.operator, partition.a_idx, ctx.b_rows
-    w_b = op.adjacency[b]
-    w_ba, w_bb = w_b[:, a], w_b[:, b]
-    if op.adjacency.nnz == 2 * w_ba.nnz + w_bb.nnz:  # no edge within A
-        ctx._w_aa = sp.csr_array((a.size, a.size))
-    if not _named("M_AA", check_positive_definite,
-                  op.congruent_diag[a], ctx._w_aa):
-        ctx.solver_a  # the structure does not decide; the factor does
-    w_ba.data = op.off(w_ba, b, a)
-    ctx.m_ba = w_ba
-    # cut in an elimination order, each row's columns come out of order;
-    # sorted here, M_BB reaches SuperLU in canonical form
-    w_bb.sort_indices()
-    ctx.solver_b = _named("M_BB", SpdSolver, op.principal_block(w_bb, b),
-                          ordered=order_b is not None)
-    return ctx
+    """FilterContext(m, partition, order_b=order_b)."""
+    return FilterContext(m, partition, order_b=order_b)
 
 
 def _chebyshev(ctx, xa, xb, ca, cb):

@@ -15,16 +15,29 @@ factor M_BB with no ordering pass.  Their factors then differ from
 decompose's in the last bits (round trip about 1e-16).  A tree saved
 without orders decodes with MMD-ordered factors.
 
-decompose overlaps two stages: once level ell's partition is repaired,
-level ell+1's points are fixed, and their KNN graph (int32 indices) is
-built on one worker thread while level ell builds its context, factors
-and filters on the calling thread.  Levels under PIPELINE_MIN_POINTS build
-their graphs inline.  Every other step keeps its sequential order on the
-calling thread, so outputs are bit-identical to an all-inline run.  No
-SuperLU factor runs on the worker: building contexts there raised
-lazy-100k peak memory from about 236 MB to 355 MB (level 0 during decode)
-and 600 MB (coarse levels ahead during decompose), likely because what a
-thread allocates stays in its own malloc arena.
+The pipeline overlaps stages on one long-lived worker thread per process
+(started on first use, replaced in a forked child).  decompose: once
+level ell's partition is repaired, level ell+1's points are fixed, and
+their KNN graph (int32 indices) is built on the worker while level ell
+builds its context, factors and filters on the calling thread.  Decode
+and the sweep: level 0's context, about 45 % of a 100k-point decode, is
+built on the worker while the calling thread builds and synthesizes
+levels L-1..1, since no context depends on the upward stream.  Trees
+whose level 0 is under LEVEL0_AHEAD_MIN_POINTS, and levels under
+PIPELINE_MIN_POINTS in decompose, run inline.  Every other step keeps its
+sequential order on the calling thread, so outputs are bit-identical to
+an all-inline run, and a failure still names the coarsest failing level.
+No job of a call is left running or queued when the call returns or
+raises.
+
+Each factor is freed on the thread that built it, because a SciPy
+SuperLU factor dropped on another thread than the one that built it is
+never freed (see sparse_core.SpdSolver).  So the worker drops level 0's
+context itself, after the calling thread has dropped the M_AA factor it
+built on first use, if any.  An error clears the frames of its whole
+exception chain on the thread that raised it, so a factor those frames
+hold is freed there too.  A fresh worker per call raised the process
+peak; one worker per process does not.
 """
 
 from __future__ import annotations
@@ -32,6 +45,7 @@ from __future__ import annotations
 import copy
 import json
 import os
+import traceback
 import zipfile
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -51,6 +65,41 @@ MIN_LEVEL_POINTS = 4
 # worker saved nothing measurable for next levels of 1000-2000 points and
 # won from about 3000 (decompose of 2000-16000-point clouds)
 PIPELINE_MIN_POINTS = 4_000
+# decode and the sweep build level 0 ahead from this many points: on 2
+# cores, in one process, it lost 1-10 % against all-inline on 2000- to
+# 32000-point trees and won 13-17 % at 64000 and 31 % at 100000
+# (decode; lazy bank, BENCH_pr22_level0_ahead.json)
+LEVEL0_AHEAD_MIN_POINTS = 48_000
+
+
+def _new_worker():
+    """Give this process its pipeline worker; its thread starts on the
+    first job.  Registered to run in a forked child, which has no thread
+    behind its parent's worker."""
+    global _worker
+    _worker = ThreadPoolExecutor(max_workers=1,
+                                 thread_name_prefix="mqfb-pipeline")
+
+
+_new_worker()
+if hasattr(os, "register_at_fork"):  # POSIX only, as is fork
+    os.register_at_fork(after_in_child=_new_worker)
+
+
+def _settle(job):
+    """Return once ``job`` is cancelled or finished, without raising its
+    error: the caller is already raising one, or returning."""
+    if not job.cancel():
+        job.exception()
+
+
+def _clear_frames(e):
+    """Clear the frames of ``e``'s whole exception chain, so a factor they
+    hold is freed now, on this thread, not on the thread that drops the
+    error."""
+    while e is not None:
+        traceback.clear_frames(e.__traceback__)
+        e = e.__cause__ or e.__context__
 
 
 @dataclass
@@ -106,9 +155,9 @@ def _knn_graph(pos, k):
 def decompose(pc, spec, k, levels, seed, operator=None, baseline=False):
     """Run the iterated analysis filter-bank on the attribute channels.
 
-    Level ell+1's KNN graph is built on a worker thread while level ell
-    factors and filters (see the module docstring); the worker is joined
-    before this returns or raises.
+    Level ell+1's KNN graph is built on the pipeline worker while level
+    ell factors and filters (see the module docstring); the job is
+    finished or cancelled before this returns or raises.
     """
     if levels < 1:
         raise ValueError("levels must be >= 1")
@@ -138,8 +187,8 @@ def decompose(pc, spec, k, levels, seed, operator=None, baseline=False):
     pos = pc.positions
     x = pc.attributes
     records = []
-    with ThreadPoolExecutor(max_workers=1) as ahead:
-        graph = None  # the future of this level's KNN graph, if any
+    graph = None  # the job building this level's KNN graph, if any
+    try:
         for ell in range(levels):
             n = pos.shape[0]
             if n < MIN_LEVEL_POINTS or n <= k:
@@ -154,7 +203,7 @@ def decompose(pc, spec, k, levels, seed, operator=None, baseline=False):
             graph = None
             if (ell + 1 < levels and pos.shape[0] > k
                     and pos.shape[0] >= PIPELINE_MIN_POINTS):
-                graph = ahead.submit(_knn_graph, pos, k)
+                graph = _worker.submit(_knn_graph, pos, k)
             ctx = _level_context(ell, spec, g.adjacency, p, meta)
             coeffs = fb.analyze(spec, ctx, x)
             records.append(LevelRecord(
@@ -162,40 +211,103 @@ def decompose(pc, spec, k, levels, seed, operator=None, baseline=False):
                 details=np.atleast_2d(coeffs.d),
                 order_b=getattr(ctx.solver_b, "order", None)))
             x = coeffs.a
+    finally:
+        if graph is not None:
+            _settle(graph)
     return DecompositionTree(levels=records, root=np.atleast_2d(x), meta=meta)
+
+
+def _synthesize_level(spec, ctx, i, details, shared, split, drops):
+    """One level of _synthesize_up: the streams (shared, split) leaving
+    level i.  Variant j zeroes the details of levels i < j, so at level i
+    every variant with j <= i is still the full reconstruction and shares
+    one stream; a variant gets its own synthesis from the level where its
+    details are first zeroed."""
+    # no closure or comprehension holds ctx here: a frame in a traceback
+    # keeps its function, and so its closure, past traceback.clear_frames
+    for j in drops:
+        if j > i and j not in split:
+            split[j] = shared
+    if split:
+        zeros = np.zeros_like(details)
+        for j, x in split.items():
+            split[j] = fb.synthesize(spec, ctx,
+                                     fb.ChannelCoefficients(a=x, d=zeros))
+    if any(j <= i for j in drops):
+        shared = fb.synthesize(spec, ctx,
+                               fb.ChannelCoefficients(a=shared, d=details))
+    return shared, split
+
+
+class _ContextAhead:
+    """Level ``ell``'s context, built by a job on the pipeline worker.
+
+    ``take`` hands it to the calling thread; ``release`` drops the
+    context's last reference in a second job, so the factors the first
+    job built are freed on the worker (see the module docstring).  M_AA's
+    factor, where a filter needs it, is built on first use by the calling
+    thread, and ``release`` drops it there.  The caller must hold no
+    reference of its own by then.
+    """
+
+    def __init__(self, ell, spec, lv, meta):
+        self._box = []
+        self._job = _worker.submit(self._build, ell, spec, lv, meta)
+
+    def _build(self, ell, spec, lv, meta):
+        try:
+            ctx = _level_context(ell, spec, lv.adjacency, lv.partition, meta,
+                                 lv.order_b)
+            self._a_built_here = "solver_a" in vars(ctx)
+            self._box.append(ctx)
+        except BaseException as e:
+            _clear_frames(e)
+            raise
+
+    def take(self):
+        self._job.result()
+        return self._box[0]
+
+    def release(self):
+        if self._box and not self._a_built_here:  # built on this thread
+            vars(self._box[0]).pop("solver_a", None)
+        # the worker runs one job at a time: this one runs after _build
+        _worker.submit(self._box.clear).result()
 
 
 def _synthesize_up(tree, drops):
     """reconstruct(tree, drop_finest=j) for every j in drops, in one pass.
 
-    Each level's context is built once and freed once its level is done.
-    Variant j zeroes the details of levels i < j, so at level i every
-    variant with j <= i is still the full reconstruction and shares one
-    stream; a variant gets its own synthesis from the level where its
-    details are first zeroed.  Every synthesis sees the same inputs as a
-    single-variant pass, so results are bit-identical.
+    Each level's context is built once and freed once its level is done;
+    from LEVEL0_AHEAD_MIN_POINTS points, level 0's is built on the
+    pipeline worker while this thread builds and synthesizes levels
+    L-1..1 (see the module docstring).  Every synthesis sees the same
+    inputs as a single-variant pass, so results are bit-identical.
     """
-    meta = tree.meta
-    spec = _spec_from_meta(meta)
+    spec = _spec_from_meta(tree.meta)
     drops = list(drops)
+    levels = tree.levels
+    ahead = None
+    if levels and levels[0].partition.n >= LEVEL0_AHEAD_MIN_POINTS:
+        ahead = _ContextAhead(0, spec, levels[0], tree.meta)
     shared = tree.root
     split = {}  # j -> its own stream, once its details have been zeroed
-    for i in reversed(range(len(tree.levels))):
-        lv = tree.levels[i]
-        ctx = _level_context(i, spec, lv.adjacency, lv.partition, meta,
-                             lv.order_b)
-
-        def up(x, d):
-            return fb.synthesize(spec, ctx, fb.ChannelCoefficients(a=x, d=d))
-
-        for j in drops:
-            if j > i and j not in split:
-                split[j] = shared
-        if split:
-            zeros = np.zeros_like(lv.details)
-            split = {j: up(x, zeros) for j, x in split.items()}
-        if any(j <= i for j in drops):
-            shared = up(shared, lv.details)
+    try:
+        for i in reversed(range(len(levels))):
+            lv = levels[i]
+            ctx = (ahead.take() if i == 0 and ahead is not None else
+                   _level_context(i, spec, lv.adjacency, lv.partition,
+                                  tree.meta, lv.order_b))
+            shared, split = _synthesize_level(spec, ctx, i, lv.details,
+                                              shared, split, drops)
+    except BaseException as e:
+        if ahead is not None:  # the failed filter's frames let go of ctx
+            _clear_frames(e)
+        raise
+    finally:
+        if ahead is not None:
+            ctx = None  # the worker drops the last reference
+            ahead.release()
     return [split.get(j, shared) for j in drops]
 
 

@@ -48,6 +48,14 @@ class SpdSolver:
     A matrix already in its elimination order (``ordered=True``) factors
     in its natural order, with the same fill and no MMD pass, and has no
     ``order`` of its own.
+
+    Release rule: drop a solver on the thread that built it.  SciPy's
+    SuperLU object frees its L and U only there (SciPy 1.17 keeps its
+    allocation table per thread); dropped on another thread they are never
+    freed: a loop that built lazy-100k level-0 M_BB factors on a worker
+    and dropped them on the main thread grew by 329 MB over 60 factors, and
+    stayed flat when the worker dropped them.  Solves may run on any
+    thread.
     """
 
     def __init__(self, matrix, ordered=False):

@@ -389,6 +389,27 @@ def test_a_plain_matrix_context_holds_the_input(mode, laplacian):
                                   build_block_diag_q(m, p).toarray())
 
 
+@pytest.mark.parametrize("operator", ["matrix", "operator"])
+def test_a_context_built_the_public_way_filters(operator):
+    """``mqfb.FilterContext(m, partition)`` is a whole context: a poly and a
+    dense spec both reconstruct through it, and it equals make_context's."""
+    import mqfb
+
+    g = random_connected_graph(30, seed=5)
+    m = (combinatorial_laplacian(g) if operator == "matrix"
+         else combinatorial_operator(g))
+    p = random_partition(30, 5)
+    ctx, ref = mqfb.FilterContext(m, p), make_context(m, p)
+    x = np.random.default_rng(5).standard_normal((30, 2))
+    for spec in (lazy_spec(), orthogonal_cosine_spec(mode="dense")):
+        coeffs = analyze(spec, ctx, x)
+        want = analyze(spec, ref, x)
+        np.testing.assert_array_equal(coeffs.a, want.a)
+        np.testing.assert_array_equal(coeffs.d, want.d)
+        np.testing.assert_allclose(synthesize(spec, ctx, coeffs), x,
+                                   rtol=0, atol=1e-10)
+
+
 @pytest.mark.parametrize("spec", [lazy_spec(), orthogonal_cosine_spec()],
                          ids=["lazy", "ortho-poly"])
 def test_an_elimination_order_cuts_m_bb_in_that_order(graph_20k, spec):

@@ -1,10 +1,17 @@
+import gc
 import json
+import os
+import signal
+import sys
 import threading
+import time
+import weakref
 import zlib
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from scipy.sparse import csgraph
 
 from mqfb import filterbank as fb
 from mqfb import graphs as gb
@@ -73,26 +80,33 @@ class TestDecompose:
             np.testing.assert_array_equal(a.partition.f, b.partition.f)
 
     def test_knn_worker_is_joined(self, monkeypatch):
-        # at 20k points levels 1 and 2 build their KNN graphs on the worker
+        # at 20k points levels 1 and 2 build their KNN graphs on the
+        # pipeline worker, one thread that outlives the call; no job of a
+        # call is still running when the call returns or raises
         pc = gaussian_blob_cloud(20_000, seed=0)
         assert pc.n // 4 > multires.PIPELINE_MIN_POINTS
-        before = threading.active_count()
         knn_graph = gb.knn_graph
         started, release = threading.Event(), threading.Event()
-        workers = set()
+        workers, running = set(), []
 
         def held_knn(cloud, k):
-            if threading.current_thread() is not threading.main_thread():
-                workers.add(threading.get_ident())
-                started.set()
-                release.wait(timeout=60)
-            return knn_graph(cloud, k)
+            if threading.current_thread() is threading.main_thread():
+                return knn_graph(cloud, k)
+            workers.add(threading.get_ident())
+            running.append(cloud.n)
+            started.set()
+            release.wait(timeout=60)
+            try:
+                return knn_graph(cloud, k)
+            finally:
+                running.remove(cloud.n)
 
         monkeypatch.setattr(gb, "knn_graph", held_knn)
         release.set()
-        decompose(pc, fb.lazy_spec(), k=5, levels=3, seed=0)
+        for _ in range(2):
+            decompose(pc, fb.lazy_spec(), k=5, levels=3, seed=0)
+            assert running == []
         assert len(workers) == 1
-        assert threading.active_count() == before
 
         # level 0's context fails while level 1's KNN graph is in flight
         started.clear()
@@ -101,7 +115,7 @@ class TestDecompose:
 
         def failing_context(*args, **kwargs):
             assert started.wait(timeout=60)
-            in_flight.append(threading.active_count())
+            in_flight.append(len(running))
             release.set()
             raise NotPositiveDefinite("boom")
 
@@ -109,8 +123,217 @@ class TestDecompose:
         with pytest.raises(NotPositiveDefinite, match=r"^level 0: boom$") as e:
             decompose(pc, fb.lazy_spec(), k=5, levels=3, seed=0)
         assert e.type is NotPositiveDefinite
-        assert in_flight == [before + 1]
-        assert threading.active_count() == before
+        assert in_flight == [1]
+        assert running == []
+        assert len(workers) == 1
+
+
+@pytest.fixture(scope="module")
+def cloud_20k():
+    return gaussian_blob_cloud(20_000, seed=0)
+
+
+@pytest.fixture(scope="module")
+def clusters_20k():
+    """Four separated clusters of 5000 points: every level of a tree has
+    several connected components."""
+    rng = np.random.default_rng(0)
+    pos = (100.0 * np.arange(4)[:, None, None]
+           + rng.normal(0, 1, (4, 5000, 3))).reshape(-1, 3)
+    return gb.PointCloud(pos, rng.uniform(0, 255, (20_000, 3)))
+
+
+def _with_a_component_on_b(tree, ell):
+    """A copy of ``tree`` whose level-``ell`` partition puts one whole
+    connected component on side B, so M_BB is singular there (its factor
+    has a vanishing pivot).  Both sides keep their sizes."""
+    levels = list(tree.levels)
+    lv = levels[ell]
+    _, labels = csgraph.connected_components(lv.adjacency, directed=False)
+    f = lv.partition.f.copy()
+    on_b = np.bincount(labels[f == -1], minlength=labels.max() + 1)
+    on_b[labels[0]] = 0
+    other = np.argmax(on_b)  # the component with the most B vertices
+    off_side = np.flatnonzero((labels == labels[0]) & (f == 1))
+    elsewhere = np.flatnonzero((labels == other) & (f == -1))
+    assert off_side.size < elsewhere.size
+    f[off_side] = -1
+    f[elsewhere[:off_side.size]] = 1
+    # the recorded order is of the old B side: factor with MMD instead
+    levels[ell] = LevelRecord(partition=gb.Partition(f),
+                              adjacency=lv.adjacency, details=lv.details)
+    return DecompositionTree(levels=levels, root=tree.root, meta=tree.meta)
+
+
+def _inline_reconstruct(tree):
+    """reconstruct(tree), every level on the calling thread."""
+    spec = multires._spec_from_meta(tree.meta)
+    x = tree.root
+    for i in reversed(range(len(tree.levels))):
+        lv = tree.levels[i]
+        ctx = multires._level_context(i, spec, lv.adjacency, lv.partition,
+                                      tree.meta, lv.order_b)
+        x = fb.synthesize(spec, ctx, fb.ChannelCoefficients(a=x, d=lv.details))
+    return x
+
+
+class _TrackedFactor:
+    """A SuperLU factor (which takes no weak reference) behind a proxy
+    that does."""
+
+    def __init__(self, lu):
+        self._lu = lu
+
+    def __getattr__(self, name):
+        return getattr(self._lu, name)
+
+
+class TestPipelineWorker:
+    """Decode and the sweep build level 0's context on the pipeline worker
+    while the calling thread builds and synthesizes levels L-1..1 (see the
+    multires docstring); here from 20k points on."""
+
+    @pytest.fixture(autouse=True)
+    def level0_ahead(self, monkeypatch):
+        monkeypatch.setattr(multires, "LEVEL0_AHEAD_MIN_POINTS", 20_000)
+
+    @pytest.fixture
+    def factors(self, monkeypatch):
+        """Every SuperLU factor made, also by a SpdSolver that then raises,
+        as [shape, building thread, freeing thread or None while alive]."""
+        out = []
+        splu = spla.splu
+
+        def recording(matrix, *args, **kwargs):
+            lu = _TrackedFactor(splu(matrix, *args, **kwargs))
+            rec = [matrix.shape, threading.get_ident(), None]
+            out.append(rec)
+            # the finalizer runs on the thread that drops the factor
+            weakref.finalize(lu, lambda: rec.__setitem__(
+                2, threading.get_ident()))
+            return lu
+
+        monkeypatch.setattr(spla, "splu", recording)
+        return out
+
+    @pytest.fixture(scope="class")
+    def trees(self, cloud_20k, clusters_20k):
+        """A 3-level tree of each cloud, per spec family."""
+        return {(cloud, spec.family): decompose(pc, spec, k=5, levels=3,
+                                                seed=0)
+                for cloud, pc in [("blobs", cloud_20k),
+                                  ("clusters", clusters_20k)]
+                for spec in (fb.lazy_spec(), fb.orthogonal_cosine_spec())}
+
+    @pytest.mark.parametrize("sweep, singular, boom, raises", [
+        (False, (), None, None), (True, (), None, None),
+        # level 0's SpdSolver raises on the worker with the factor still in
+        # its frame, three links down the exception chain; the coarsest
+        # failing level comes first
+        (False, (1,), None, "level 1: M_BB: "),
+        (False, (0,), None, "level 0: M_BB: "),
+        (False, (0, 1), None, "level 1: M_BB: "),
+        (False, (), 1, "level 1: boom"),
+        (False, (), 0, "level 0: boom"),
+    ], ids=["reconstruct", "sweep", "level 1 singular", "level 0 singular",
+            "levels 0 and 1 singular", "level 1 synthesis raises",
+            "level 0 synthesis raises"])
+    @pytest.mark.parametrize("family", ["lazy", "ortho-cosine"])
+    def test_each_factor_is_freed_on_the_thread_that_built_it(
+            self, trees, family, sweep, singular, boom, raises, factors,
+            monkeypatch):
+        tree = trees["clusters" if singular else "blobs", family]
+        assert tree.levels[0].partition.n >= multires.LEVEL0_AHEAD_MIN_POINTS
+        for ell in singular:
+            tree = _with_a_component_on_b(tree, ell)
+        want = None if raises else _inline_reconstruct(tree)
+        factors.clear()
+        main = threading.get_ident()
+        synthesize = fb.synthesize
+
+        def failing_synthesis(spec, ctx, coeffs):
+            if boom is not None and (ctx.partition
+                                     is tree.levels[boom].partition):
+                raise ValueError(f"level {boom}: boom")
+            return synthesize(spec, ctx, coeffs)
+
+        monkeypatch.setattr(fb, "synthesize", failing_synthesis)
+        try:
+            if sweep:
+                got = linear_approximation(tree, 1.0, np.zeros((20_000, 3)))
+                np.testing.assert_array_equal(got.attributes, want)
+            else:
+                np.testing.assert_array_equal(reconstruct(tree), want)
+            assert raises is None
+        except (ValueError, NotPositiveDefinite) as e:
+            assert raises is not None and str(e).startswith(raises), e
+        gc.collect()  # what the calling thread's error held, freed there
+        assert all(f[2] == f[1] for f in factors), factors
+        # only level 0's M_BB is factored on the worker; M_AA, where a filter
+        # needs it, is factored on first use by the calling thread
+        nb = tree.levels[0].partition.b_idx.size
+        for shape, built, _ in factors:
+            assert (shape == (nb, nb)) is (built != main)
+        if singular:  # the failing factor was made and tracked
+            nb = tree.levels[max(singular)].partition.b_idx.size
+            assert (nb, nb) in [f[0] for f in factors]
+
+    def test_callers_on_several_threads_share_the_worker(self, cloud_20k,
+                                                          factors):
+        """Four threads decode at once through the one worker, with a short
+        switch interval: each gets the sequential output, and every factor
+        is freed on the thread that built it."""
+        tree = decompose(cloud_20k, fb.lazy_spec(), k=5, levels=3, seed=0)
+        want = reconstruct(tree)
+        factors.clear()
+        got, errors = [], []
+
+        def decode():
+            try:
+                for _ in range(3):
+                    got.append(reconstruct(tree))
+            except Exception as e:  # reported below
+                errors.append(e)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=decode) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(got) == 12 and all(np.array_equal(g, want) for g in got)
+        assert len(factors) == 12 * len(tree.levels)
+        assert all(f[2] == f[1] for f in factors), factors
+
+    def test_a_forked_child_runs_the_pipeline(self, cloud_20k):
+        """The child gets a worker of its own: the parent's has no thread
+        behind it there."""
+        pc = cloud_20k
+        reconstruct(decompose(pc, fb.lazy_spec(), k=5, levels=3, seed=0))
+        pid = os.fork()
+        if pid == 0:  # the child: exit 0 only if the pipeline completes
+            code = 1
+            try:
+                signal.alarm(60)
+                tree = decompose(pc, fb.lazy_spec(), k=5, levels=3, seed=0)
+                rec = reconstruct(tree)
+                code = 0 if np.allclose(rec, pc.attributes) else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 90
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child did not finish in 90 s")
+            time.sleep(0.05)
+        assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 class TestReconstruct:

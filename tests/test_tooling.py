@@ -126,3 +126,36 @@ def test_every_import_is_used(tracer_module, path):
               if isinstance(owner, types.ModuleType)
               and owner.__name__ == f"mqfb.{path.stem}"}
     assert imported - used - traced == set()
+
+
+# calls that start a thread or a process, by the name they are called by
+THREAD_STARTERS = {"Thread", "Timer", "ThreadPoolExecutor",
+                   "ProcessPoolExecutor", "Process", "Pool",
+                   "start_new_thread", "fork"}
+
+
+def _calls(node, where="<module>"):
+    """(name of the innermost function around it, call) for every call."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _calls(child, child.name)
+            continue
+        if isinstance(child, ast.Call):
+            yield where, child
+        yield from _calls(child, where)
+
+
+def test_threads_start_in_one_place():
+    """src/ starts threads in exactly one place, the pipeline worker, so a
+    per-call worker cannot come back unnoticed (see the multires
+    docstring: one worker per process, and factors freed where built)."""
+    found = []
+    for path in LIBRARY_MODULES + [ROOT / "src" / "mqfb" / "__init__.py"]:
+        for where, call in _calls(ast.parse(path.read_text())):
+            f = call.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(
+                f, "id", None)
+            if name in THREAD_STARTERS:
+                found.append((path.stem, where, name))
+    assert found == [("multires", "_new_worker", "ThreadPoolExecutor")]
+    assert mr._worker._max_workers == 1
