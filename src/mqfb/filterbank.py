@@ -3,7 +3,8 @@
 Filters are scalar kernels of the generalized spectrum; a spec's mode
 alone picks how they are applied, on any context: "dense" through an
 explicit eigenbasis, "poly" as polynomials of the fundamental matrix
-Z = Q^{-1} M.  Q is the block-diagonal of M, so S = Z - I only swaps the
+Z = Q^{-1} M.  Q is always the block-diagonal of the context's own M (one
+(M, Q) bank per context, in both modes), so S = Z - I only swaps the
 sides A and B and its spectrum lies in [-1, 1] by spectral folding: poly
 mode sums a Chebyshev series in S by one three-term recurrence (one
 product with each off-diagonal block of M and one solve with each of M_AA
@@ -14,12 +15,11 @@ A context cuts those blocks from the adjacency W (graphs.Operator),
 checks the A block on W_AA with no factor (the normalized M_AA by its
 congruence to the combinatorial one), factors M_BB and folds the dense
 basis from the same blocks on first use; it builds the n x n M and Q
-only for the checkers.
-A plain matrix is split into an Operator too.  Ships the lazy
-biorthogonal design and the orthogonal cosine design (poly by default, as
-its degree-12 Chebyshev interpolant; dense mode keeps the closed form as
-the reference), their zero-DC variants, plus checkers for perfect
-reconstruction, Q-orthogonality and frame bounds.
+only for the checkers.  A plain matrix is split into an Operator too.
+Ships the lazy biorthogonal design and the orthogonal cosine design (poly
+by default, as its degree-12 Chebyshev interpolant; dense mode keeps the
+closed form as the reference), their zero-DC variants, plus checkers for
+perfect reconstruction, Q-orthogonality and frame bounds.
 """
 
 from __future__ import annotations
@@ -41,6 +41,13 @@ from .sparse_core import (
     build_block_diag_q,
     check_positive_definite,
 )
+
+
+# below this smallest-over-largest pivot of M_BB's factor, Taussky's test
+# on W_BB decides M_BB too: a singular M_BB factored in a recorded order
+# can pass SpdSolver's 1e-13 cut (1.1e-13 seen), while healthy 100k-point
+# levels read 3.5e-3 to 6.7e-2, and the test costs 7 ms at 100k points
+M_BB_PIVOT_GATE = 1e-8
 
 
 class NotPolynomial(ValueError):
@@ -220,22 +227,23 @@ class FilterContext:
     Building a context raises NotPositiveDefinite, naming the block (M_AA
     or M_BB), when Q is not positive definite.  It slices W's B rows once
     into W_BA and W_BB: M_BA (``m_ba``) is W_BA negated or scaled, and M_BB
-    goes to SpdSolver as its own CSC (``solver_b``).  The A block is
-    decided with no factor, by Taussky's test on diag(c_A) - W_AA (see
-    Operator: c is the degrees for both Laplacians); only a plain matrix
-    that is not Laplacian-like has M_AA factored here.
+    goes to SpdSolver as its own CSC (``solver_b``); when the factor's
+    smallest pivot is under M_BB_PIVOT_GATE of its largest, Taussky's test
+    on diag(c_B) - W_BB decides M_BB too.  The A block is decided with no
+    factor, by Taussky's test on diag(c_A) - W_AA (see Operator: c is the
+    degrees for both Laplacians); only a plain matrix that is not
+    Laplacian-like has M_AA factored here.
 
     Poly filters read ``m_ba`` and ``solver_b``, and ``solver_a``, the
     factor of M_AA that filters of degree 2 and up (or with a degree-1
-    A-side term) need, built on first use from W_AA.  They solve with Q by
-    blocks, so they use the block-diagonal Q of M even when a different
-    ``q`` was passed in.  Dense filters read ``basis`` (``lam``,
-    ``forward``, ``inverse``): a gft.FoldedBasis built on first use from
-    the same M_AA, M_BA and M_BB, B in ``b_rows`` order (sparse Cholesky
-    factors of M_AA and M_BB and the dense SVD factors of the folded
-    pencil, about n^2 / 2 floats, with no n x n eigenvector matrix), or an
-    explicit GftBasis passed in.  It is the reference path and stops at
-    the dense cap.
+    A-side term) need, built on first use from W_AA; they solve with Q by
+    blocks.  Dense filters read ``basis`` (``lam``, ``forward``,
+    ``inverse``): a gft.FoldedBasis built on first use from the same M_AA,
+    M_BA and M_BB, B in ``b_rows`` order (sparse Cholesky factors of M_AA
+    and M_BB and the dense SVD factors of the folded pencil, about n^2 / 2
+    floats, with no n x n eigenvector matrix).  It is the reference path
+    and stops at the dense cap.  So both modes filter with the one (M, Q)
+    pair the context was built from.
 
     ``order_b`` is an elimination order of M_BB, such as an earlier
     context's ``solver_b.order``; one that is not a permutation of the B
@@ -246,7 +254,7 @@ class FilterContext:
     order: analyze and synthesize gather and scatter B through ``b_rows``.
     """
 
-    def __init__(self, m, partition, q=None, basis=None, order_b=None):
+    def __init__(self, m, partition, order_b=None):
         b = partition.b_idx
         if order_b is not None:
             check_order(order_b, b.size)
@@ -256,10 +264,6 @@ class FilterContext:
         self.n = partition.n
         self.order_b = order_b
         self.b_rows = b = b if order_b is None else b[order_b]
-        if q is not None:
-            self.q = q
-        if basis is not None:
-            self.basis = basis
         a = partition.a_idx
         w_b = op.adjacency[b]
         w_ba, w_bb = w_b[:, a], w_b[:, b]
@@ -275,6 +279,8 @@ class FilterContext:
         w_bb.sort_indices()
         self.solver_b = _named("M_BB", SpdSolver, op.principal_block(w_bb, b),
                                ordered=order_b is not None)
+        if self.solver_b.pivot_ratio < M_BB_PIVOT_GATE:
+            _named("M_BB", check_positive_definite, op.congruent_diag[b], w_bb)
 
     @functools.cached_property
     def m(self):

@@ -22,10 +22,15 @@ class ZeroDegree(ValueError):
 
 @dataclass(frozen=True)
 class PointCloud:
-    """3D points with per-point attribute channels (possibly zero channels)."""
+    """3D points with per-point attribute channels (possibly zero channels).
+
+    ``peak`` is the largest value a channel can take, the peak of its PSNR:
+    255 for 8-bit colours, 65535 for 16-bit ones (see load_ply).
+    """
 
     positions: np.ndarray  # (n, 3) float64
     attributes: np.ndarray  # (n, c) float64, c >= 0
+    peak: float = 255.0
 
     def __post_init__(self):
         pos = np.asarray(self.positions, dtype=np.float64)
@@ -150,7 +155,9 @@ def load_ply(path):
     """Read a PLY point cloud (ascii or binary little-endian).
 
     Requires x, y, z vertex properties; red/green/blue become attribute
-    channels when present, stored as-is without normalization.
+    channels when present, stored as-is without normalization, and the
+    cloud's ``peak`` is the largest value of their type when it is an
+    unsigned integer (65535 for ushort), else 255.
     """
     with open(path, "rb") as fh:
         fmt, elements = _parse_ply_header(fh)
@@ -189,13 +196,14 @@ def load_ply(path):
         if data.shape[0] != count:
             raise ValueError("PLY vertex data truncated")
     positions = np.column_stack([data["x"], data["y"], data["z"]]).astype(np.float64)
-    if all(c in names for c in ("red", "green", "blue")):
-        attrs = np.column_stack(
-            [data["red"], data["green"], data["blue"]]
-        ).astype(np.float64)
+    rgb, peak = ("red", "green", "blue"), 255.0
+    if all(c in names for c in rgb):
+        attrs = np.column_stack([data[c] for c in rgb]).astype(np.float64)
+        peak = max(float(np.iinfo(t).max) if t.kind == "u" else peak
+                   for t in (data.dtype[c] for c in rgb))
     else:
         attrs = np.empty((count, 0))
-    return PointCloud(positions, attrs)
+    return PointCloud(positions, attrs, peak)
 
 
 def save_ply(path, pc):

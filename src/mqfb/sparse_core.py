@@ -47,7 +47,8 @@ class SpdSolver:
     elimination order: S[order][:, order] is the matrix SuperLU factored.
     A matrix already in its elimination order (``ordered=True``) factors
     in its natural order, with the same fill and no MMD pass, and has no
-    ``order`` of its own.
+    ``order`` of its own.  ``pivot_ratio`` is the smallest pivot over the
+    largest (of the diagonal, for a diagonal matrix).
 
     Release rule: drop a solver on the thread that built it.  SciPy's
     SuperLU object frees its L and U only there (SciPy 1.17 keeps its
@@ -71,6 +72,7 @@ class SpdSolver:
             raise NotPositiveDefinite("nonpositive diagonal entry")
         if matrix.nnz == self.n:  # the n diagonal entries are all it stores
             self._diag = d
+            self.pivot_ratio = np.min(d) / np.max(d)
         else:
             try:
                 lu = spla.splu(
@@ -90,6 +92,7 @@ class SpdSolver:
                     "LU factor has nonpositive or vanishing pivot"
                 )
             self._lu = lu
+            self.pivot_ratio = np.min(du) / np.max(du)
             if not ordered:
                 self.order = np.empty_like(lu.perm_c)
                 self.order[lu.perm_c] = np.arange(self.n,

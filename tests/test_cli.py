@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse.csgraph as csgraph
 
+from mqfb import cli
 from mqfb import filterbank as fb
 from mqfb import graphs as gb
 from mqfb.cli import (
@@ -15,6 +16,7 @@ from mqfb.cli import (
     EXIT_OK,
     main,
 )
+from mqfb.gft import FoldedBasis
 from mqfb.multires import (
     decompose,
     linear_approximation,
@@ -43,6 +45,63 @@ def test_verify_misuse_identity_q_fails(tmp_path):
     assert code == EXIT_CHECK_FAILED
     data = json.loads(report.read_text())
     assert not data["passed"]
+
+
+def _scale_b_side_of_chebyshev(monkeypatch):
+    chebyshev = fb._chebyshev
+
+    def wrong(*args):
+        ya, yb = chebyshev(*args)
+        return ya, 1.01 * yb
+
+    monkeypatch.setattr(fb, "_chebyshev", wrong)
+
+
+def _scale_folded_forward(monkeypatch):
+    forward = FoldedBasis.forward
+    monkeypatch.setattr(FoldedBasis, "forward",
+                        lambda self, x: 1.01 * forward(self, x))
+
+
+@pytest.mark.parametrize("family", ["lazy", "ortho-cosine"])
+@pytest.mark.parametrize("break_filter", [_scale_folded_forward,
+                                          _scale_b_side_of_chebyshev],
+                         ids=["dense", "poly"])
+def test_verify_checks_the_filters_the_pipeline_ships(
+        tmp_path, monkeypatch, family, break_filter):
+    """PR and Parseval run through a pipeline context, in both modes: a
+    folded basis or a Chebyshev recurrence 1 % off fails the battery."""
+    break_filter(monkeypatch)
+    report = tmp_path / "report.json"
+    code = main(["verify", "--graphs", "3", "--nmax", "40", "--family",
+                 family, "--out", str(report)])
+    assert code == EXIT_CHECK_FAILED
+    assert json.loads(report.read_text())["failing"] == 3
+
+
+def test_verify_tol_reaches_every_check(tmp_path, monkeypatch):
+    seen = []
+
+    def recording(module, name):
+        check = getattr(module, name)
+
+        def wrapper(*args, tol, **kwargs):
+            seen.append((name, tol))
+            return check(*args, tol=tol, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("verify_spectral_folding", "spectrum_is_folded"):
+        recording(cli, name)
+    for name in ("check_pr", "check_q_orthogonality"):
+        recording(fb, name)
+    code = main(["verify", "--graphs", "2", "--nmax", "30", "--tol", "1e-7",
+                 "--out", str(tmp_path / "r.json")])
+    assert code == EXIT_OK
+    assert {name for name, _ in seen} == {
+        "verify_spectral_folding", "spectrum_is_folded", "check_pr",
+        "check_q_orthogonality"}
+    assert all(tol == 1e-7 for _, tol in seen), seen
 
 
 def test_decompose_reconstruct_roundtrip(tmp_path):
@@ -109,6 +168,51 @@ def test_ply_input(tmp_path):
     code = main(["decompose", "--input", str(ply), "--k", "4",
                  "--levels", "2", "--out", str(tmp_path / "t")])
     assert code == EXIT_OK
+
+
+def _write_binary_ply(path, pc, colour_type, colours):
+    fields = [(c, "<f8") for c in "xyz"] + [
+        (c, "<" + colours.dtype.str[1:]) for c in ("red", "green", "blue")]
+    rec = np.empty(pc.n, dtype=fields)
+    rec["x"], rec["y"], rec["z"] = pc.positions.T
+    rec["red"], rec["green"], rec["blue"] = colours.T
+    header = ("ply\nformat binary_little_endian 1.0\n"
+              f"element vertex {pc.n}\n"
+              + "".join(f"property double {c}\n" for c in "xyz")
+              + "".join(f"property {colour_type} {c}\n"
+                        for c in ("red", "green", "blue"))
+              + "end_header\n")
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii"))
+        rec.tofile(fh)
+
+
+def test_psnr_of_16_bit_colours_is_against_65535(tmp_path):
+    """The same cloud with 8-bit colours and with 16-bit ones (x 257) gives
+    the same PSNR at every keep: each against its own type's peak."""
+    from mqfb.synthetic import gaussian_blob_cloud
+
+    pc = gaussian_blob_cloud(1000, seed=2)
+    rgb = np.clip(np.rint(pc.attributes), 0, 255).astype(np.uint8)
+    rows = {}
+    for bits, colour_type, colours in [(8, "uchar", rgb),
+                                       (16, "ushort", rgb * np.uint16(257))]:
+        ply = tmp_path / f"c{bits}.ply"
+        _write_binary_ply(ply, pc, colour_type, colours)
+        assert gb.load_ply(ply).peak == 2.0 ** bits - 1
+        out, report = tmp_path / f"t{bits}", tmp_path / f"r{bits}.json"
+        code = main(["decompose", "--input", str(ply), "--k", "5",
+                     "--levels", "3", "--out", str(out), "--report",
+                     str(report)])
+        assert code == EXIT_OK
+        with open(str(out) + "_psnr.csv") as fh:
+            rows[bits] = list(csv.DictReader(fh))
+    assert len(rows[8]) == len(rows[16]) == 4
+    for r8, r16 in zip(rows[8][1:], rows[16][1:]):
+        assert float(r16["m_over_n"]) == float(r8["m_over_n"])
+        for c in ("psnr_r", "psnr_g", "psnr_b"):
+            assert 20.0 < float(r16[c]) == pytest.approx(float(r8[c]),
+                                                         abs=1e-9)
 
 
 @pytest.mark.parametrize("row", ["0 0", "0 0 0 7"],

@@ -28,7 +28,7 @@ from mqfb.multires import (
     reconstruct,
     save_tree,
 )
-from mqfb.sparse_core import NotPositiveDefinite
+from mqfb.sparse_core import NotPositiveDefinite, SpdSolver
 from mqfb.synthetic import gaussian_blob_cloud
 
 
@@ -143,10 +143,11 @@ def clusters_20k():
     return gb.PointCloud(pos, rng.uniform(0, 255, (20_000, 3)))
 
 
-def _with_a_component_on_b(tree, ell):
+def _with_a_component_on_b(tree, ell, keep_order=False):
     """A copy of ``tree`` whose level-``ell`` partition puts one whole
     connected component on side B, so M_BB is singular there (its factor
-    has a vanishing pivot).  Both sides keep their sizes."""
+    has a vanishing pivot).  Both sides keep their sizes.  ``keep_order``
+    keeps the level's recorded M_BB order, as an edited tree would."""
     levels = list(tree.levels)
     lv = levels[ell]
     _, labels = csgraph.connected_components(lv.adjacency, directed=False)
@@ -159,9 +160,10 @@ def _with_a_component_on_b(tree, ell):
     assert off_side.size < elsewhere.size
     f[off_side] = -1
     f[elsewhere[:off_side.size]] = 1
-    # the recorded order is of the old B side: factor with MMD instead
+    # the recorded order is of the old B side: by default factor with MMD
     levels[ell] = LevelRecord(partition=gb.Partition(f),
-                              adjacency=lv.adjacency, details=lv.details)
+                              adjacency=lv.adjacency, details=lv.details,
+                              order_b=lv.order_b if keep_order else None)
     return DecompositionTree(levels=levels, root=tree.root, meta=tree.meta)
 
 
@@ -822,6 +824,35 @@ class TestEliminationOrders:
         assert code == EXIT_IO
         assert (f"array 'level_00/order_b': M_BB order (uint8[{order.size}]) "
                 f"is not a permutation of the {order.size} B rows"
+                in capsys.readouterr().err)
+
+    def test_a_singular_m_bb_in_its_recorded_order_is_rejected(
+            self, clusters_20k, tmp_path, capsys, monkeypatch):
+        """A whole component moved onto side B with the old order kept: the
+        natural-order factor's smallest pivot passes SpdSolver's cut, so
+        Taussky's test on W_BB decides M_BB, and the error names the level
+        and the block."""
+        from mqfb.cli import EXIT_NUMERICAL, main
+
+        ratios = []
+
+        class Recording(SpdSolver):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                ratios.append(self.pivot_ratio)
+
+        tree = decompose(clusters_20k, fb.lazy_spec(), k=5, levels=3, seed=0)
+        tree = _with_a_component_on_b(tree, 0, keep_order=True)
+        monkeypatch.setattr(fb, "SpdSolver", Recording)
+        with pytest.raises(NotPositiveDefinite, match="^level 0: M_BB: "):
+            reconstruct(tree)
+        assert 1e-13 < min(ratios) < fb.M_BB_PIVOT_GATE
+        save_tree(tree, tmp_path / "t")
+        capsys.readouterr()
+        code = main(["reconstruct", "--input", str(tmp_path / "t"),
+                     "--out", str(tmp_path / "rec.bin")])
+        assert code == EXIT_NUMERICAL == 4
+        assert ("numerical failure: level 0: M_BB: a connected component"
                 in capsys.readouterr().err)
 
     @pytest.mark.parametrize("corrupt", ["duplicate", "short"])

@@ -1,6 +1,6 @@
 """The benchmark's tracer still wraps names the library defines, the
-pipeline factors with one configuration, and the library imports nothing
-it does not use.
+pipeline factors with one configuration, a context takes no Q or basis of
+its own, and the library imports nothing it does not use.
 
 perfbench/tracer.py replaces library attributes by name, so deleting or
 renaming one of them breaks traced benchmark runs (``perfbench/run.py
@@ -10,6 +10,7 @@ does not collect perfbench/.
 
 import ast
 import importlib.util
+import inspect
 import sys
 import types
 from pathlib import Path
@@ -159,3 +160,11 @@ def test_threads_start_in_one_place():
                 found.append((path.stem, where, name))
     assert found == [("multires", "_new_worker", "ThreadPoolExecutor")]
     assert mr._worker._max_workers == 1
+
+
+def test_a_context_takes_no_q_or_basis_of_its_own():
+    """A context's Q is the block-diagonal of its M and its dense basis is
+    folded from its own blocks, so every filter, in the pipeline and in
+    ``mqfb verify``, runs on the one (M, Q) pair it was built from."""
+    assert str(inspect.signature(fb.FilterContext)) == (
+        "(m, partition, order_b=None)")
